@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import confusion, metrics, svm_fit, svm_predict
 from .errors import DegenerateDataError, ParameterError, ShapeError
-from .pipeline import FeatureCache, PipelineParams, TrialOutcome, evaluate_quadruple
+from .pipeline import (FeatureCache, PipelineParams, TrialOutcome, best_over_p,
+                       evaluate_quadruple, resolve_p)
 
 __all__ = ["RealPcaModel", "fit_real_pca", "transform_real",
            "concatenated_features", "compare"]
@@ -83,34 +83,11 @@ def _evaluate_real(cache: FeatureCache, train_keys, test_keys, channels, band,
                    params: PipelineParams) -> TrialOutcome:
     x_train = concatenated_features(cache, train_keys, channels, band)
     x_test = concatenated_features(cache, test_keys, channels, band)
-    y_train = cache.labels_pm1(train_keys)
-    y_test = cache.labels_pm1(test_keys)
-
-    p_max = min(x_train.shape)
-    if params.p is not None:
-        if params.p > p_max:
-            raise ParameterError(f"p={params.p} exceeds min{x_train.shape}")
-        fit_p, candidates = params.p, [params.p]
-    elif params.p_sweep_limit is not None:
-        fit_p = min(params.p_sweep_limit, p_max)
-        candidates = list(range(1, fit_p + 1))
-    else:
-        fit_p, candidates = None, None
+    fit_p, candidates = resolve_p(params, min(x_train.shape))
     model = fit_real_pca(x_train, p=fit_p, energy_threshold=params.p_threshold)
-    if candidates is None:
-        candidates = [model.p]
-    train_scores = transform_real(model, x_train)
-    test_scores = transform_real(model, x_test)
-
-    best = None
-    for p in candidates:
-        svm = svm_fit(train_scores[:, :p], y_train, regularization_c=params.svm_c)
-        m = metrics(confusion(y_test, svm_predict(svm, test_scores[:, :p])))
-        acc = -1.0 if m.acc is None else m.acc
-        if best is None or acc > best[0] + 1e-12:
-            best = (acc, p, m)
-    _, p_used, m = best
-    return TrialOutcome(acc=m.acc, sen=m.sen, spe=m.spe, p_used=p_used, result=m)
+    return best_over_p(transform_real(model, x_train), cache.labels_pm1(train_keys),
+                       transform_real(model, x_test), cache.labels_pm1(test_keys),
+                       candidates or [model.p], params.svm_c)
 
 
 def compare(cache: FeatureCache, train_keys, test_keys, quadruple, band: str,

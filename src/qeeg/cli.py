@@ -21,10 +21,11 @@ import numpy as np
 
 from . import baseline, connectivity, qpca, search
 from .classifier import LinearSvmModel, cross_validate
-from .dataset import SynthSpec, load_recording, session_split, save_recording, synthesize_dataset
+from .dataset import (SynthSpec, load_recording, save_recording, session_split,
+                      session_split_keys, synthesize_dataset)
 from .errors import ConfigError, QeegError
-from .pipeline import (FeatureCache, PipelineParams, evaluate_model,
-                       train_pipeline)
+from .pipeline import (FeatureCache, PipelineParams, evaluate_model, resolve_p,
+                       sweep_parameters, train_pipeline)
 from .qpca import ChannelQuadruple, QpcaModel
 from .spectral import BAND_NAMES
 
@@ -90,8 +91,9 @@ def _load_recordings(data_dir: str) -> list:
     return [load_recording(p) for p in paths]
 
 
-def _load_cache(args, recordings=None) -> FeatureCache:
-    if getattr(args, "cache", None):
+def _load_cache(args) -> FeatureCache:
+    """The --cache file when given, else the featurized --data recordings."""
+    if args.cache:
         path = Path(args.cache)
         if not path.is_file():
             raise ConfigError(f"--cache file not found: {path}")
@@ -104,14 +106,7 @@ def _load_cache(args, recordings=None) -> FeatureCache:
                     f"cache was built with --segment-seconds {cached_ts}, "
                     f"requested {args.segment_seconds}")
         return FeatureCache.from_csv_text(text, args.segment_seconds)
-    if recordings is None:
-        recordings = _load_recordings(args.data)
-    return FeatureCache.from_recordings(recordings, args.segment_seconds)
-
-
-def _split_keys(recordings):
-    split = session_split(recordings)
-    return ([r.key() for r in split.training], [r.key() for r in split.testing])
+    return FeatureCache.from_recordings(_load_recordings(args.data), args.segment_seconds)
 
 
 def _params_from_args(args, default_sweep: int | None) -> PipelineParams:
@@ -212,9 +207,8 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     quadruple = _require_quadruple(args)
     params = _params_from_args(args, default_sweep=None)
-    recordings = _load_recordings(args.data)
-    cache = _load_cache(args, recordings)
-    train_keys, _ = _split_keys(recordings)
+    cache = _load_cache(args)
+    train_keys, _ = session_split_keys(cache.keys)
     model, svm = train_pipeline(cache, train_keys, quadruple, args.band, params)
     train_metrics = evaluate_model(model, svm, cache, train_keys)
     config = _config_echo("train", args, params)
@@ -257,9 +251,9 @@ def cmd_eval(args) -> int:
     if args.channels and tuple(args.channels) != tuple(model.quadruple):
         raise ConfigError(f"--channels {args.channels} do not match model quadruple "
                           f"{tuple(model.quadruple)}")
-    recordings = _load_recordings(args.data)
-    cache = FeatureCache.from_recordings(recordings, model.segment_seconds)
-    train_keys, test_keys = _split_keys(recordings)
+    cache = FeatureCache.from_recordings(_load_recordings(args.data),
+                                         model.segment_seconds)
+    train_keys, test_keys = session_split_keys(cache.keys)
     keys = {"testing": test_keys, "training": train_keys,
             "all": train_keys + test_keys}[args.split]
     result = evaluate_model(model, svm, cache, keys)
@@ -297,9 +291,8 @@ def _search_summary_csv(summaries) -> str:
 def cmd_search(args) -> int:
     out = _out_dir(args)
     params = _params_from_args(args, default_sweep=20)
-    recordings = _load_recordings(args.data)
-    cache = _load_cache(args, recordings)
-    train_keys, test_keys = _split_keys(recordings)
+    cache = _load_cache(args)
+    train_keys, test_keys = session_split_keys(cache.keys)
     results, summaries = search.run_search(cache, train_keys, test_keys,
                                            args.band, params,
                                            parallelism=args.parallelism)
@@ -318,21 +311,20 @@ def cmd_search(args) -> int:
 
 def cmd_connectivity(args) -> int:
     out = _out_dir(args)
-    recordings = _load_recordings(args.data)
-    cache = _load_cache(args, recordings)
-    train_keys, test_keys = _split_keys(recordings)
+    cache = _load_cache(args)
+    train_keys, test_keys = session_split_keys(cache.keys)
     keys = train_keys + test_keys if args.include_testing else train_keys
     bands = [args.band] if args.band else list(BAND_NAMES)
     config = _config_echo("connectivity", args, bands=bands,
                           include_testing=args.include_testing)
+    tensors_by_band, report = connectivity.measure_connectivity(
+        cache, keys, args.mode, bands)
     paths = []
-    for band in bands:
-        tensors, skipped = connectivity.build_tensors(cache, keys, args.mode, band)
+    for band, (tensors, skipped) in tensors_by_band.items():
         for label, tensor in sorted(tensors.items()):
             doc = tensor.to_json()
             doc["skipped_tuples"] = skipped
             paths.append(_write_json(out / f"tensor_{band}_{label}.json", config, doc))
-    report = connectivity.distance_report(cache, keys, args.mode, bands)
     paths.append(_write_json(out / "distance_report.json", config, report.to_json()))
     _write_run_manifest(out, "connectivity", config, paths, args)
     dists = ", ".join(f"{b}={report.mean_dist(b):.4f}" for b in bands)
@@ -344,13 +336,10 @@ def cmd_crossval(args) -> int:
     out = _out_dir(args)
     quadruple = _require_quadruple(args)
     params = _params_from_args(args, default_sweep=None)
-    recordings = _load_recordings(args.data)
-    cache = _load_cache(args, recordings)
+    cache = _load_cache(args)
     keys = list(cache.keys)
     vectors = cache.vectors(keys, quadruple, args.band)
-    fit_p = params.p
-    if fit_p is None and params.p_sweep_limit is not None:
-        fit_p = min(params.p_sweep_limit, vectors.rows, vectors.cols)
+    fit_p, _ = resolve_p(params, min(vectors.shape))
     model = qpca.fit(vectors, p=fit_p, energy_threshold=params.p_threshold,
                      band=args.band)
     feats = qpca.project(qpca.transform(model, vectors), params.projection)
@@ -369,6 +358,9 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.cache:
+        raise ConfigError("sweep featurizes the recordings at every grid point "
+                          "and cannot use --cache")
     out = _out_dir(args)
     quadruple = _require_quadruple(args)
     params = _params_from_args(args, default_sweep=20)
@@ -382,8 +374,8 @@ def cmd_sweep(args) -> int:
         values = [int(v) for v in args.values.split(",")]
     else:
         values = [float(v) for v in args.values.split(",")]
-    rows = qpca.sweep_parameters(recordings, split, quadruple, args.band,
-                                 axis, values, base=params)
+    rows = sweep_parameters(recordings, split, quadruple, args.band,
+                            axis, values, base=params)
     lines = ["axis,value,acc,sen,spe,p_used,error"]
     for r in rows:
         lines.append(",".join([r["axis"], _fmt(r["value"]), _fmt(r["acc"]),
@@ -400,9 +392,8 @@ def cmd_baseline(args) -> int:
     out = _out_dir(args)
     quadruple = _require_quadruple(args)
     params = _params_from_args(args, default_sweep=20)
-    recordings = _load_recordings(args.data)
-    cache = _load_cache(args, recordings)
-    train_keys, test_keys = _split_keys(recordings)
+    cache = _load_cache(args)
+    train_keys, test_keys = session_split_keys(cache.keys)
     result = baseline.compare(cache, train_keys, test_keys, quadruple,
                               args.band, params)
     config = _config_echo("baseline", args, params)
@@ -433,7 +424,6 @@ def _add_shared(parser, with_band=True, with_channels=True):
                         help="report the best accuracy over p = 1..L")
     parser.add_argument("--svm-c", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--parallelism", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--cache", default=None,
                         help="feature cache CSV to reuse instead of featurizing")
 
@@ -477,6 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     _add_shared(p, with_channels=False)
+    p.add_argument("--parallelism", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("connectivity", help="connectivity tensors and distances")

@@ -26,7 +26,8 @@ from .pipeline import FeatureCache
 from .spectral import BAND_NAMES
 
 __all__ = ["ConnectivityTensor", "DistanceReport", "measure_values",
-           "interclass_distance", "build_tensors", "distance_report"]
+           "interclass_distance", "measure_connectivity", "build_tensors",
+           "distance_report"]
 
 _MODE_SIZES = {"triple": 3, "quadruple": 4}
 
@@ -103,20 +104,6 @@ def _measure_tuples(cache: FeatureCache, keys, mode: str, band: str, tuples=None
     return rows, skipped
 
 
-def build_tensors(cache: FeatureCache, keys, mode: str, band: str):
-    """One tensor per class over every ordered distinct channel tuple.
-
-    Returns ({class_label: ConnectivityTensor}, skipped_tuple_count)."""
-    rows, skipped = _measure_tuples(cache, keys, mode, band)
-    labels = sorted({label for _, means, _ in rows for label in means})
-    tensors = {}
-    for label in labels:
-        tensors[label] = ConnectivityTensor(
-            mode=mode, band=band, class_label=label, axis_labels=cache.channels,
-            entries={chs: means[label] for chs, means, _ in rows if label in means})
-    return tensors, skipped
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceReport:
     """Interclass distances and class measure distributions per band."""
@@ -149,17 +136,27 @@ class DistanceReport:
         }
 
 
-def distance_report(cache: FeatureCache, keys, mode: str, bands=BAND_NAMES,
-                    tuples=None) -> DistanceReport:
-    """Per-band per-tuple distances and class-mean distributions (plot-ready)."""
+def measure_connectivity(cache: FeatureCache, keys, mode: str, bands=BAND_NAMES,
+                         tuples=None):
+    """Tensors and distances from one `measure_values` call per (tuple, band).
+
+    Returns ({band: ({class_label: ConnectivityTensor}, skipped_tuple_count)},
+    DistanceReport)."""
     keys = list(keys)
     counts = {"NonAD": 0, "AD": 0}
     for key in keys:
         counts[cache.labels[key]] += 1
+    tensors_by_band = {}
     dist_by_band, means_by_band, skipped_by_band = {}, {}, {}
     kept: tuple | None = None
     for band in bands:
         rows, skipped = _measure_tuples(cache, keys, mode, band, tuples)
+        labels = sorted({label for _, means, _ in rows for label in means})
+        tensors = {label: ConnectivityTensor(
+            mode=mode, band=band, class_label=label, axis_labels=cache.channels,
+            entries={chs: means[label] for chs, means, _ in rows if label in means})
+            for label in labels}
+        tensors_by_band[band] = (tensors, skipped)
         usable = [(chs, means, dist) for chs, means, dist in rows if dist is not None]
         dist_by_band[band] = np.array([dist for _, _, dist in usable])
         means_by_band[band] = {
@@ -168,8 +165,23 @@ def distance_report(cache: FeatureCache, keys, mode: str, bands=BAND_NAMES,
         skipped_by_band[band] = skipped
         if kept is None:
             kept = tuple(chs for chs, _, _ in usable)
-    return DistanceReport(mode=mode, n_ns=counts["NonAD"], n_ad=counts["AD"],
-                          bands=tuple(bands), tuples=kept or (),
-                          dist_by_band=dist_by_band,
-                          class_means_by_band=means_by_band,
-                          skipped_by_band=skipped_by_band)
+    report = DistanceReport(mode=mode, n_ns=counts["NonAD"], n_ad=counts["AD"],
+                            bands=tuple(bands), tuples=kept or (),
+                            dist_by_band=dist_by_band,
+                            class_means_by_band=means_by_band,
+                            skipped_by_band=skipped_by_band)
+    return tensors_by_band, report
+
+
+def build_tensors(cache: FeatureCache, keys, mode: str, band: str):
+    """One tensor per class over every ordered distinct channel tuple.
+
+    Returns ({class_label: ConnectivityTensor}, skipped_tuple_count)."""
+    tensors_by_band, _ = measure_connectivity(cache, keys, mode, (band,))
+    return tensors_by_band[band]
+
+
+def distance_report(cache: FeatureCache, keys, mode: str, bands=BAND_NAMES,
+                    tuples=None) -> DistanceReport:
+    """Per-band per-tuple distances and class-mean distributions (plot-ready)."""
+    return measure_connectivity(cache, keys, mode, bands, tuples)[1]

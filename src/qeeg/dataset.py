@@ -22,7 +22,7 @@ from .spectral import band_by_name
 
 __all__ = [
     "STANDARD_MONTAGE_19", "LABELS", "EegRecording", "DatasetSplit",
-    "load_recording", "save_recording", "session_split",
+    "load_recording", "save_recording", "session_split", "session_split_keys",
     "BandProfile", "SynthSpec", "synthesize_dataset",
 ]
 
@@ -186,21 +186,32 @@ def save_recording(recording: EegRecording, directory, stem: str | None = None) 
     return manifest_path
 
 
-def session_split(recordings) -> DatasetSplit:
-    """Sessions 1-5 of every subject go to training, session 6 to testing."""
+def session_split_keys(keys) -> tuple:
+    """Sessions 1-5 of every subject go to training, session 6 to testing.
+
+    Takes (subject_id, session_index) keys and returns (training keys,
+    testing keys), each ordered by subject, then session."""
     by_subject: dict = {}
-    for rec in recordings:
-        by_subject.setdefault(rec.subject_id, []).append(rec)
+    for subject, session in keys:
+        by_subject.setdefault(subject, []).append(session)
     training, testing = [], []
     for subject in sorted(by_subject):
-        sessions = sorted(by_subject[subject], key=lambda r: r.session_index)
-        indices = [r.session_index for r in sessions]
+        indices = sorted(by_subject[subject])
         if indices != [1, 2, 3, 4, 5, 6]:
             raise SplitError(
                 f"subject {subject!r} has sessions {indices}, expected exactly 1..6")
-        training.extend(sessions[:5])
-        testing.append(sessions[5])
-    return DatasetSplit(training=tuple(training), testing=tuple(testing))
+        training.extend((subject, session) for session in indices[:5])
+        testing.append((subject, indices[5]))
+    return training, testing
+
+
+def session_split(recordings) -> DatasetSplit:
+    """`session_split_keys` applied to recordings."""
+    recordings = list(recordings)
+    by_key = {r.key(): r for r in recordings}
+    train_keys, test_keys = session_split_keys([r.key() for r in recordings])
+    return DatasetSplit(training=tuple(by_key[k] for k in train_keys),
+                        testing=tuple(by_key[k] for k in test_keys))
 
 
 @dataclass(frozen=True)

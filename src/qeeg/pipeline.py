@@ -19,8 +19,9 @@ from .classifier import MetricsResult, confusion, metrics, svm_fit, svm_predict
 from .errors import ParameterError, ValidationError
 from .spectral import BAND_NAMES, band_power_matrix
 
-__all__ = ["PipelineParams", "FeatureCache", "TrialOutcome",
-           "evaluate_quadruple", "train_pipeline", "evaluate_model"]
+__all__ = ["PipelineParams", "FeatureCache", "TrialOutcome", "resolve_p",
+           "best_over_p", "evaluate_quadruple", "train_pipeline",
+           "evaluate_model", "sweep_parameters"]
 
 POSITIVE_LABEL = "AD"  # a true positive is a correctly detected AD sample
 
@@ -212,49 +213,49 @@ class TrialOutcome:
         return out
 
 
-def _candidate_ps(params: PipelineParams, m: int, n_s: int):
-    """(fit_p, candidate list) under the resolution order of PipelineParams."""
-    p_max = min(m, n_s)
+def resolve_p(params: PipelineParams, p_max: int):
+    """(fit_p, candidate list) under the resolution order of PipelineParams;
+    both are None when the energy threshold decides inside the fit.  The fit
+    rejects a fixed p above p_max."""
     if params.p is not None:
-        if params.p > p_max:
-            raise ParameterError(f"p={params.p} exceeds min(m={m}, N_s={n_s})")
         return params.p, [params.p]
     if params.p_sweep_limit is not None:
         limit = min(params.p_sweep_limit, p_max)
         return limit, list(range(1, limit + 1))
-    return None, None  # energy threshold decides inside fit
+    return None, None
 
 
-def evaluate_quadruple(cache: FeatureCache, split, quadruple, band: str,
-                       params: PipelineParams) -> TrialOutcome:
-    """One full train/test cycle; with a p sweep the best test accuracy wins
-    (ties resolve to the smallest component count)."""
-    train_keys, test_keys = _split_keys(split)
-    channels = tuple(quadruple)
-    q_train = cache.vectors(train_keys, channels, band)
-    q_test = cache.vectors(test_keys, channels, band)
-    y_train = cache.labels_pm1(train_keys)
-    y_test = cache.labels_pm1(test_keys)
-
-    fit_p, candidates = _candidate_ps(params, q_train.rows, q_train.cols)
-    model = qpca.fit(q_train, p=fit_p, energy_threshold=params.p_threshold,
-                     band=band, segment_seconds=cache.segment_seconds,
-                     projection=params.projection)
-    if candidates is None:
-        candidates = [model.p]
-    train_feats = qpca.project(qpca.transform(model, q_train), params.projection)
-    test_feats = qpca.project(qpca.transform(model, q_test), params.projection)
-
+def best_over_p(train_feats, y_train, test_feats, y_test, candidates,
+                svm_c: float) -> TrialOutcome:
+    """One SVM per candidate p on the leading p feature columns; the best test
+    accuracy wins (ties resolve to the smallest component count)."""
     best = None
     for p in candidates:
-        svm = svm_fit(train_feats[:, :p], y_train, regularization_c=params.svm_c)
-        pred = svm_predict(svm, test_feats[:, :p])
-        m = metrics(confusion(y_test, pred))
+        svm = svm_fit(train_feats[:, :p], y_train, regularization_c=svm_c)
+        m = metrics(confusion(y_test, svm_predict(svm, test_feats[:, :p])))
         acc = -1.0 if m.acc is None else m.acc
         if best is None or acc > best[0] + 1e-12:
             best = (acc, p, m)
     _, p_used, m = best
     return TrialOutcome(acc=m.acc, sen=m.sen, spe=m.spe, p_used=p_used, result=m)
+
+
+def evaluate_quadruple(cache: FeatureCache, split, quadruple, band: str,
+                       params: PipelineParams) -> TrialOutcome:
+    """One full train/test cycle, scored by `best_over_p`."""
+    train_keys, test_keys = _split_keys(split)
+    channels = tuple(quadruple)
+    q_train = cache.vectors(train_keys, channels, band)
+    q_test = cache.vectors(test_keys, channels, band)
+    fit_p, candidates = resolve_p(params, min(q_train.shape))
+    model = qpca.fit(q_train, p=fit_p, energy_threshold=params.p_threshold,
+                     band=band, segment_seconds=cache.segment_seconds,
+                     projection=params.projection)
+    train_feats = qpca.project(qpca.transform(model, q_train), params.projection)
+    test_feats = qpca.project(qpca.transform(model, q_test), params.projection)
+    return best_over_p(train_feats, cache.labels_pm1(train_keys),
+                       test_feats, cache.labels_pm1(test_keys),
+                       candidates or [model.p], params.svm_c)
 
 
 def train_pipeline(cache: FeatureCache, train_keys, quadruple, band: str,
@@ -263,9 +264,7 @@ def train_pipeline(cache: FeatureCache, train_keys, quadruple, band: str,
     (fixed p or energy threshold; no test-side sweep)."""
     channels = tuple(quadruple)
     q_train = cache.vectors(train_keys, channels, band)
-    fit_p = params.p
-    if fit_p is None and params.p_sweep_limit is not None:
-        fit_p = min(params.p_sweep_limit, q_train.rows, q_train.cols)
+    fit_p, _ = resolve_p(params, min(q_train.shape))
     model = qpca.fit(q_train, p=fit_p, energy_threshold=params.p_threshold,
                      band=band, quadruple=qpca.ChannelQuadruple(channels),
                      segment_seconds=cache.segment_seconds,
@@ -290,3 +289,42 @@ def _split_keys(split):
         return ([r.key() for r in split.training], [r.key() for r in split.testing])
     train_keys, test_keys = split
     return list(train_keys), list(test_keys)
+
+
+def sweep_parameters(recordings, split, quadruple, band: str, axis: str, values,
+                     base=None) -> list:
+    """One full train/evaluate cycle per grid value along a single axis
+    (``segment_seconds``, ``projection`` or ``p``); failed grid points are
+    reported, not raised."""
+    params = base if base is not None else PipelineParams()
+    if axis not in ("segment_seconds", "projection", "p"):
+        raise ParameterError(f"unknown sweep axis {axis!r}")
+    values = list(values)
+    if not values:
+        raise ParameterError("empty sweep grid")
+
+    rows = []
+    cache = None
+    if axis != "segment_seconds":
+        cache = FeatureCache.from_recordings(recordings, params.segment_seconds)
+    for value in values:
+        point = params
+        try:
+            if axis == "segment_seconds":
+                point = params.with_(segment_seconds=float(value))
+                point_cache = FeatureCache.from_recordings(recordings, float(value))
+            else:
+                point_cache = cache
+                if axis == "projection":
+                    point = params.with_(projection=str(value))
+                else:
+                    point = params.with_(p=int(value), p_sweep_limit=None)
+            outcome = evaluate_quadruple(point_cache, split, quadruple, band, point)
+            rows.append({"axis": axis, "value": value, "acc": outcome.acc,
+                         "sen": outcome.sen, "spe": outcome.spe,
+                         "p_used": outcome.p_used, "error": None})
+        except Exception as exc:  # noqa: BLE001 - per-point failures are data
+            rows.append({"axis": axis, "value": value, "acc": None, "sen": None,
+                         "spe": None, "p_used": None,
+                         "error": f"{type(exc).__name__}: {exc}"})
+    return rows

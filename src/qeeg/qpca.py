@@ -25,7 +25,7 @@ from .qlinalg import QuaternionMatrix, qsvd, truncate
 
 __all__ = [
     "ChannelQuadruple", "QpcaModel", "PROJECTION_METHODS",
-    "embed", "embed_rows", "fit", "transform", "project", "sweep_parameters",
+    "embed", "embed_rows", "fit", "transform", "project",
 ]
 
 PROJECTION_METHODS = ("mean", "absolute", "norm", "phase")
@@ -207,44 +207,3 @@ def project(features: QuaternionMatrix, method: str) -> np.ndarray:
         # the zero quaternion maps to 0 by convention
         return np.arctan2(np.sqrt(x * x + y * y + z * z), w)
     raise ParameterError(f"unknown projection {method!r}; expected one of {PROJECTION_METHODS}")
-
-
-def sweep_parameters(recordings, split, quadruple, band: str, axis: str, values,
-                     base=None) -> list:
-    """One full train/evaluate cycle per grid value along a single axis
-    (``segment_seconds``, ``projection`` or ``p``); failed grid points are
-    reported, not raised."""
-    from . import pipeline  # local import; pipeline builds on this module
-
-    params = base if base is not None else pipeline.PipelineParams()
-    if axis not in ("segment_seconds", "projection", "p"):
-        raise ParameterError(f"unknown sweep axis {axis!r}")
-    values = list(values)
-    if not values:
-        raise ParameterError("empty sweep grid")
-
-    rows = []
-    cache = None
-    if axis != "segment_seconds":
-        cache = pipeline.FeatureCache.from_recordings(recordings, params.segment_seconds)
-    for value in values:
-        point = params
-        try:
-            if axis == "segment_seconds":
-                point = params.with_(segment_seconds=float(value))
-                point_cache = pipeline.FeatureCache.from_recordings(recordings, float(value))
-            else:
-                point_cache = cache
-                if axis == "projection":
-                    point = params.with_(projection=str(value))
-                else:
-                    point = params.with_(p=int(value), p_sweep_limit=None)
-            outcome = pipeline.evaluate_quadruple(point_cache, split, quadruple, band, point)
-            rows.append({"axis": axis, "value": value, "acc": outcome.acc,
-                         "sen": outcome.sen, "spe": outcome.spe,
-                         "p_used": outcome.p_used, "error": None})
-        except Exception as exc:  # noqa: BLE001 - per-point failures are data
-            rows.append({"axis": axis, "value": value, "acc": None, "sen": None,
-                         "spe": None, "p_used": None,
-                         "error": f"{type(exc).__name__}: {exc}"})
-    return rows

@@ -167,18 +167,78 @@ def test_baseline_command(data_dir, tmp_path):
     assert doc["data"]["real_pca"]["acc"] is not None
 
 
-def test_features_cache_reuse_matches_direct(data_dir, tmp_path):
+def _payloads(out):
+    """Output payloads by file name, without the config echo (it names --cache)."""
+    payloads = {}
+    for path in sorted(out.iterdir()):
+        if path.name.endswith("_manifest.json"):
+            continue
+        text = path.read_text()
+        if path.suffix == ".csv":
+            payloads[path.name] = text.split("\n", 2)[2]
+        else:
+            payloads[path.name] = json.dumps(json.loads(text)["data"], sort_keys=True)
+    return payloads
+
+
+def test_features_cache_reuse_matches_direct(data_dir, tmp_path, monkeypatch):
     fdir = tmp_path / "feat"
     main(["features", "--data", str(data_dir), "--out", str(fdir)])
-    out_direct = tmp_path / "direct"
-    out_cached = tmp_path / "cached"
-    base = ["train", "--data", str(data_dir), "--band", "alpha",
-            "--channels", "F8,T7,T8,P4", "--pcs", "2"]
-    main(base + ["--out", str(out_direct)])
-    main(base + ["--cache", str(fdir / "features.csv"), "--out", str(out_cached)])
-    direct = json.loads((out_direct / "model.json").read_text())["data"]
-    cached = json.loads((out_cached / "model.json").read_text())["data"]
-    assert direct == cached
+    commands = {
+        "train": ["train", "--data", str(data_dir), "--band", "alpha",
+                  "--channels", "F8,T7,T8,P4", "--pcs", "2"],
+        "search": ["search", "--data", str(data_dir), "--band", "alpha",
+                   "--p-sweep-limit", "3", "--parallelism", "1"],
+        "connectivity": ["connectivity", "--data", str(data_dir),
+                         "--mode", "triple", "--band", "alpha"],
+    }
+    for name, base in commands.items():
+        assert main(base + ["--out", str(tmp_path / f"{name}_direct")]) == 0
+
+    def no_read(path):
+        raise AssertionError(f"recording {path} read despite --cache")
+
+    monkeypatch.setattr("qeeg.cli.load_recording", no_read)
+    for name, base in commands.items():
+        cached = tmp_path / f"{name}_cached"
+        assert main(base + ["--cache", str(fdir / "features.csv"),
+                            "--out", str(cached)]) == 0
+        direct = _payloads(tmp_path / f"{name}_direct")
+        assert direct and _payloads(cached) == direct
+
+
+def test_connectivity_measures_each_tuple_once(data_dir, tmp_path, monkeypatch):
+    from qeeg import connectivity
+
+    calls = []
+    measure_values = connectivity.measure_values
+
+    def counted(cache, keys, channels, band):
+        calls.append((tuple(channels), band))
+        return measure_values(cache, keys, channels, band)
+
+    monkeypatch.setattr(connectivity, "measure_values", counted)
+    rc = main(["connectivity", "--data", str(data_dir), "--mode", "triple",
+               "--out", str(tmp_path / "conn")])
+    assert rc == 0
+    assert len(calls) == len(set(calls)) == 5 * 4 * 3 * 4  # tuples x bands
+
+
+def test_sweep_rejects_cache(data_dir, tmp_path, capsys):
+    rc = main(["sweep", "--data", str(data_dir), "--band", "alpha",
+               "--channels", "F8,T7,T8,P4", "--axis", "pcs", "--values", "1",
+               "--cache", str(tmp_path / "features.csv"),
+               "--out", str(tmp_path / "sweep")])
+    assert rc == 1
+    assert "--cache" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_parallelism_is_a_search_flag(data_dir, tmp_path):
+    with pytest.raises(SystemExit):
+        main(["train", "--data", str(data_dir), "--band", "alpha",
+              "--channels", "F8,T7,T8,P4", "--parallelism", "2",
+              "--out", str(tmp_path / "t")])
 
 
 def test_usage_errors(tmp_path, capsys):

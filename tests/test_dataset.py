@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qeeg.dataset import (BandProfile, EegRecording, SynthSpec,
-                          load_recording, session_split, save_recording,
-                          synthesize_dataset, STANDARD_MONTAGE_19)
+                          load_recording, session_split, session_split_keys,
+                          save_recording, synthesize_dataset, STANDARD_MONTAGE_19)
 from qeeg.errors import SplitError, ValidationError
 from qeeg.spectral import band_by_name, relative_band_power, segment
 
@@ -118,6 +118,16 @@ def test_session_split_single_subject():
 def test_session_split_rejects_wrong_session_count():
     with pytest.raises(SplitError, match="B"):
         session_split(sessions_for("A", "AD") + sessions_for("B", "AD", n=5))
+
+
+def test_session_split_keys_matches_session_split():
+    recs = sessions_for("B", "NonAD") + sessions_for("A", "AD")
+    split = session_split(recs)
+    train, test = session_split_keys(reversed([r.key() for r in recs]))
+    assert train == [r.key() for r in split.training]
+    assert test == [r.key() for r in split.testing] == [("A", 6), ("B", 6)]
+    with pytest.raises(SplitError, match="B"):
+        session_split_keys([("A", s) for s in range(1, 7)] + [("B", 1), ("B", 1)])
 
 
 def test_synth_determinism():

@@ -5,8 +5,7 @@ import pytest
 from conftest import synthetic_cache
 from qeeg.errors import ParameterError, ValidationError
 from qeeg.pipeline import (FeatureCache, PipelineParams, evaluate_quadruple,
-                           evaluate_model, train_pipeline)
-from qeeg.qpca import sweep_parameters
+                           evaluate_model, sweep_parameters, train_pipeline)
 
 
 def test_cache_structure(small_cache, small_dataset):
