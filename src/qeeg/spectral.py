@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import signal
 
 from .errors import DegenerateDataError, ParameterError
 
@@ -105,11 +104,22 @@ def segment(recording: "EegRecording", segment_seconds: float) -> np.ndarray:
 
 
 def _periodogram(segments: np.ndarray, sampling_rate_hz: float):
-    """Hann modified periodogram along the last axis; frequencies built as
-    k*fs/n to keep band-edge comparisons exact for integral bin spacing."""
+    """One-sided Hann periodogram (power spectral density) along the last
+    axis; frequencies built as k*fs/n to keep band-edge comparisons exact
+    for integral bin spacing.
+
+    The operation order is kept step for step from the reference
+    periodogram that the test suite compares against, so feature values
+    stay bit-identical: the periodic window from the cosine series, the
+    scale summed by the builtin sum and applied as 1/sqrt(sum/(1/fs)), the
+    power as re**2 + im**2, and the one-sided doubling as its own multiply.
+    Shorter algebraic forms of the same scaling change the last bits."""
     n = segments.shape[-1]
-    _, psd = signal.periodogram(segments, fs=sampling_rate_hz, window="hann",
-                                detrend=False, axis=-1)
+    win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
+    win = win * (1 / np.sqrt(sum(win ** 2) / (1 / sampling_rate_hz)))
+    spec = np.fft.rfft(segments * win, axis=-1)
+    psd = spec.real ** 2 + spec.imag ** 2
+    psd[..., 1:None if n % 2 else -1] *= 2  # no Nyquist bin for odd n
     freqs = np.arange(psd.shape[-1]) * sampling_rate_hz / n
     return freqs, psd
 

@@ -1,8 +1,14 @@
 """End-to-end CLI tests on a small synthetic dataset."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import qeeg
 
 from qeeg.cli import main
 from qeeg.dataset import SynthSpec
@@ -239,6 +245,23 @@ def test_parallelism_is_a_search_flag(data_dir, tmp_path):
         main(["train", "--data", str(data_dir), "--band", "alpha",
               "--channels", "F8,T7,T8,P4", "--parallelism", "2",
               "--out", str(tmp_path / "t")])
+
+
+def test_runs_without_scipy(spec_path, tmp_path):
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import qeeg\n"
+        "from qeeg.cli import main\n"
+        "spec, out = sys.argv[1], sys.argv[2]\n"
+        "assert main(['synth', '--spec', spec, '--out', out + '/data']) == 0\n"
+        "assert main(['features', '--data', out + '/data',\n"
+        "             '--out', out + '/feat']) == 0\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qeeg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, str(spec_path), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "feat" / "features.csv").is_file()
 
 
 def test_usage_errors(tmp_path, capsys):

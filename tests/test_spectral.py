@@ -9,9 +9,9 @@ import pytest
 
 from qeeg.dataset import EegRecording
 from qeeg.errors import DegenerateDataError, ParameterError
-from qeeg.spectral import (BAND_NAMES, DEFAULT_BANDS, band_by_name,
-                           band_power_matrix, featurize, relative_band_power,
-                           samples_per_segment, segment)
+from qeeg.spectral import (BAND_NAMES, DEFAULT_BANDS, _periodogram,
+                           band_by_name, band_power_matrix, featurize,
+                           relative_band_power, samples_per_segment, segment)
 
 
 def make_recording(samples, fs=250.0, labels=None, subject="S01", session=1):
@@ -142,3 +142,18 @@ def test_featurize_full_19_channel_montage():
     assert len(vectors) == 19 * 4
     assert all(len(v.values) == 40 for v in vectors)
     assert all(0.0 <= v.values.min() and v.values.max() <= 1.0 for v in vectors)
+
+
+@pytest.mark.parametrize("n", [2, 3, 25, 64, 125, 250, 256, 501, 2500])
+@pytest.mark.parametrize("fs", [100.0, 128.0, 250.0])
+def test_periodogram_matches_scipy_oracle(n, fs):
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(n)
+    for shape in ((n,), (3, 2, n)):
+        x = rng.standard_normal(shape)
+        _, expected = signal.periodogram(x, fs=fs, window="hann",
+                                         detrend=False, axis=-1)
+        freqs, psd = _periodogram(x, fs)
+        assert psd.shape == expected.shape
+        np.testing.assert_allclose(psd, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(freqs, np.fft.rfftfreq(n, 1 / fs), rtol=1e-12)
