@@ -99,7 +99,10 @@ def _load_cache(args) -> FeatureCache:
             raise ConfigError(f"--cache file not found: {path}")
         text = path.read_text()
         if text.startswith("# config: "):
-            cached_config = json.loads(text.split("\n", 1)[0][len("# config: "):])
+            try:
+                cached_config = json.loads(text.split("\n", 1)[0][len("# config: "):])
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"--cache {path}: unreadable config header: {exc}") from None
             cached_ts = cached_config.get("segment_seconds")
             if cached_ts is not None and cached_ts != args.segment_seconds:
                 raise ConfigError(
@@ -162,6 +165,8 @@ def _config_echo(command: str, args, params: PipelineParams | None = None,
 
 
 def _out_dir(args) -> Path:
+    """Create --out.  Commands call this only once their arguments and
+    inputs are validated, so a rejected command leaves no directory."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -171,7 +176,6 @@ def _out_dir(args) -> Path:
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args)
     if args.spec:
         spec_path = Path(args.spec)
         if not spec_path.is_file():
@@ -180,6 +184,7 @@ def cmd_synth(args) -> int:
     else:
         spec = SynthSpec.default()
     recordings = synthesize_dataset(spec, seed=args.seed)
+    out = _out_dir(args)
     outputs = []
     for rec in recordings:
         manifest_path = save_recording(rec, out)
@@ -192,10 +197,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_features(args) -> int:
-    out = _out_dir(args)
     recordings = _load_recordings(args.data)
     cache = FeatureCache.from_recordings(recordings, args.segment_seconds)
     config = _config_echo("features", args)
+    out = _out_dir(args)
     path = _write_csv(out / "features.csv", config, cache.to_csv_text())
     _write_run_manifest(out, "features", config, [path], args)
     print(f"features: {len(cache.keys)} recordings x {len(cache.channels)} channels "
@@ -204,7 +209,6 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out = _out_dir(args)
     quadruple = _require_quadruple(args)
     params = _params_from_args(args, default_sweep=None)
     cache = _load_cache(args)
@@ -220,6 +224,7 @@ def cmd_train(args) -> int:
                 "iterations": svm.iterations},
         "train_metrics": train_metrics.to_json(),
     }
+    out = _out_dir(args)
     path = _write_json(out / "model.json", config, data)
     _write_run_manifest(out, "train", config, [path], args)
     print(f"train: band={args.band} channels={','.join(quadruple)} p={model.p} "
@@ -230,21 +235,23 @@ def cmd_train(args) -> int:
 def _load_model(path: Path):
     if not path.is_file():
         raise ConfigError(f"--model file not found: {path}")
-    doc = json.loads(path.read_text())
-    data = doc["data"]
-    model = QpcaModel.from_json(data["qpca"])
-    svm_obj = data["svm"]
-    svm = LinearSvmModel(weights=np.asarray(svm_obj["weights"]),
-                         bias=float(svm_obj["bias"]),
-                         regularization_c=float(svm_obj["regularization_c"]),
-                         alphas=np.asarray(svm_obj["alphas"]),
-                         duality_gap=float(svm_obj["duality_gap"]),
-                         iterations=int(svm_obj["iterations"]))
+    try:
+        data = json.loads(path.read_text())["data"]
+        model = QpcaModel.from_json(data["qpca"])
+        svm_obj = data["svm"]
+        svm = LinearSvmModel(weights=np.asarray(svm_obj["weights"]),
+                             bias=float(svm_obj["bias"]),
+                             regularization_c=float(svm_obj["regularization_c"]),
+                             alphas=np.asarray(svm_obj["alphas"]),
+                             duality_gap=float(svm_obj["duality_gap"]),
+                             iterations=int(svm_obj["iterations"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"--model {path} is not a qeeg train model: "
+                          f"{type(exc).__name__}: {exc}") from None
     return model, svm
 
 
 def cmd_eval(args) -> int:
-    out = _out_dir(args)
     model, svm = _load_model(Path(args.model))
     if args.band and args.band != model.band:
         raise ConfigError(f"--band {args.band} does not match model band {model.band}")
@@ -258,6 +265,7 @@ def cmd_eval(args) -> int:
             "all": train_keys + test_keys}[args.split]
     result = evaluate_model(model, svm, cache, keys)
     config = _config_echo("eval", args, model=str(args.model), split=args.split)
+    out = _out_dir(args)
     path = _write_json(out / "metrics.json", config, result.to_json())
     _write_run_manifest(out, "eval", config, [path], args)
     print(f"eval[{args.split}]: acc={_pct(result.acc)} sen={_pct(result.sen)} "
@@ -289,7 +297,6 @@ def _search_summary_csv(summaries) -> str:
 
 
 def cmd_search(args) -> int:
-    out = _out_dir(args)
     params = _params_from_args(args, default_sweep=20)
     cache = _load_cache(args)
     train_keys, test_keys = session_split_keys(cache.keys)
@@ -297,6 +304,7 @@ def cmd_search(args) -> int:
                                            args.band, params,
                                            parallelism=args.parallelism)
     config = _config_echo("search", args, params)
+    out = _out_dir(args)
     paths = [
         _write_csv(out / "search_results.csv", config, _search_results_csv(results)),
         _write_csv(out / "search_summary.csv", config, _search_summary_csv(summaries)),
@@ -310,7 +318,6 @@ def cmd_search(args) -> int:
 
 
 def cmd_connectivity(args) -> int:
-    out = _out_dir(args)
     cache = _load_cache(args)
     train_keys, test_keys = session_split_keys(cache.keys)
     keys = train_keys + test_keys if args.include_testing else train_keys
@@ -319,6 +326,7 @@ def cmd_connectivity(args) -> int:
                           include_testing=args.include_testing)
     tensors_by_band, report = connectivity.measure_connectivity(
         cache, keys, args.mode, bands)
+    out = _out_dir(args)
     paths = []
     for band, (tensors, skipped) in tensors_by_band.items():
         for label, tensor in sorted(tensors.items()):
@@ -333,7 +341,6 @@ def cmd_connectivity(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    out = _out_dir(args)
     quadruple = _require_quadruple(args)
     params = _params_from_args(args, default_sweep=None)
     cache = _load_cache(args)
@@ -349,6 +356,7 @@ def cmd_crossval(args) -> int:
                             stratified=not args.unstratified)
     config = _config_echo("crossval", args, params, p_used=model.p,
                           stratified=not args.unstratified)
+    out = _out_dir(args)
     path = _write_json(out / "crossval.json", config, result.to_json())
     _write_run_manifest(out, "crossval", config, [path], args)
     print(f"crossval: k={args.k} repeats={args.repeats} "
@@ -361,19 +369,18 @@ def cmd_sweep(args) -> int:
     if args.cache:
         raise ConfigError("sweep featurizes the recordings at every grid point "
                           "and cannot use --cache")
-    out = _out_dir(args)
     quadruple = _require_quadruple(args)
     params = _params_from_args(args, default_sweep=20)
-    recordings = _load_recordings(args.data)
-    split = session_split(recordings)
     axis = {"segment": "segment_seconds", "projection": "projection",
             "pcs": "p"}[args.axis]
-    if axis == "projection":
-        values = [str(v) for v in args.values.split(",")]
-    elif axis == "p":
-        values = [int(v) for v in args.values.split(",")]
-    else:
-        values = [float(v) for v in args.values.split(",")]
+    parse = {"projection": str, "p": int, "segment_seconds": float}[axis]
+    try:
+        values = [parse(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ConfigError(f"--values {args.values!r}: expected comma-separated "
+                          f"{parse.__name__} values for --axis {args.axis}") from None
+    recordings = _load_recordings(args.data)
+    split = session_split(recordings)
     rows = sweep_parameters(recordings, split, quadruple, args.band,
                             axis, values, base=params)
     lines = ["axis,value,acc,sen,spe,p_used,error"]
@@ -382,6 +389,7 @@ def cmd_sweep(args) -> int:
                                _fmt(r["sen"]), _fmt(r["spe"]), _fmt(r["p_used"]),
                                (r["error"] or "").replace(",", ";")]))
     config = _config_echo("sweep", args, params, values=[_fmt(v) for v in values])
+    out = _out_dir(args)
     path = _write_csv(out / "sweep.csv", config, "\n".join(lines) + "\n")
     _write_run_manifest(out, "sweep", config, [path], args)
     print(f"sweep[{args.axis}]: {len(rows)} grid points -> {path}")
@@ -389,7 +397,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    out = _out_dir(args)
     quadruple = _require_quadruple(args)
     params = _params_from_args(args, default_sweep=20)
     cache = _load_cache(args)
@@ -397,6 +404,7 @@ def cmd_baseline(args) -> int:
     result = baseline.compare(cache, train_keys, test_keys, quadruple,
                               args.band, params)
     config = _config_echo("baseline", args, params)
+    out = _out_dir(args)
     path = _write_json(out / "comparison.json", config, result)
     _write_run_manifest(out, "baseline", config, [path], args)
     print(f"baseline: qpca acc={_pct(result['qpca']['acc'])} vs "
@@ -423,7 +431,6 @@ def _add_shared(parser, with_band=True, with_channels=True):
     parser.add_argument("--p-sweep-limit", type=int, default=None,
                         help="report the best accuracy over p = 1..L")
     parser.add_argument("--svm-c", type=float, default=1.0)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--cache", default=None,
                         help="feature cache CSV to reuse instead of featurizing")
 
@@ -489,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=1000)
     p.add_argument("--unstratified", action="store_true",
                    help="plain shuffled folds instead of stratified ones")
+    p.add_argument("--seed", type=int, default=0, help="fold shuffle seed")
     _add_shared(p)
     p.set_defaults(func=cmd_crossval)
 

@@ -172,13 +172,15 @@ class FeatureCache:
         labels: dict = {}
         channels: list = []
         for ln in lines[1:]:
-            subject, session, label, channel, band, si, value = ln.split(",")
-            key = (subject, int(session))
+            try:
+                subject, session, label, channel, band, si, value = ln.split(",")
+                key, si, value = (subject, int(session)), int(si), float(value)
+            except ValueError as exc:
+                raise ValidationError(f"feature cache row {ln!r}: {exc}") from None
             labels[key] = label
             if channel not in channels:
                 channels.append(channel)
-            raw.setdefault(key, {}).setdefault(channel, {}).setdefault(band, {})[
-                int(si)] = float(value)
+            raw.setdefault(key, {}).setdefault(channel, {}).setdefault(band, {})[si] = value
         values = {}
         shape = None
         for key, per_channel in raw.items():

@@ -247,6 +247,52 @@ def test_parallelism_is_a_search_flag(data_dir, tmp_path):
               "--out", str(tmp_path / "t")])
 
 
+QUAD = ["--band", "alpha", "--channels", "F8,T7,T8,P4"]
+WITHOUT_SEED = {"train": QUAD, "search": ["--band", "alpha"],
+                "sweep": [*QUAD, "--axis", "pcs", "--values", "1"],
+                "baseline": QUAD}
+
+
+@pytest.mark.parametrize("command", WITHOUT_SEED)
+def test_seed_is_a_crossval_flag(data_dir, tmp_path, capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--data", str(data_dir), *WITHOUT_SEED[command],
+              "--seed", "1", "--out", str(tmp_path / "o")])
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+CACHE_HEADER = "subject_id,session_index,label,channel,band,segment_index,value\n"
+BAD_COMMANDS = {  # argv after --data, and the content of the file named {file}
+    "sweep_pcs_values": (["sweep", *QUAD, "--axis", "pcs", "--values", "1,x"], None),
+    "sweep_segment_values": (["sweep", *QUAD, "--axis", "segment",
+                              "--values", "1.0,abc"], None),
+    "model_not_json": (["eval", "--model", "{file}"], "not json\n"),
+    "model_without_data": (["eval", "--model", "{file}"], "{}\n"),
+    "cache_session_not_int": (["train", *QUAD, "--cache", "{file}"],
+                              CACHE_HEADER + "S01,x,AD,F7,alpha,0,0.5\n"),
+    "cache_short_row": (["search", "--band", "alpha", "--cache", "{file}"],
+                        CACHE_HEADER + "S01,1,AD,F7,alpha,0.5\n"),
+    "cache_broken_header": (["connectivity", "--mode", "triple", "--cache", "{file}"],
+                            "# config: {broken\n" + CACHE_HEADER),
+    "train_without_channels": (["train", "--band", "alpha"], None),
+}
+
+
+@pytest.mark.parametrize("argv,content", BAD_COMMANDS.values(), ids=BAD_COMMANDS)
+def test_bad_input_is_an_error_without_out_dir(data_dir, tmp_path, capsys,
+                                               argv, content):
+    bad = tmp_path / "input"
+    if content is not None:
+        bad.write_text(content)
+    argv = [arg.replace("{file}", str(bad)) for arg in argv]
+    out = tmp_path / "out"
+    rc = main([argv[0], "--data", str(data_dir), *argv[1:], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_runs_without_scipy(spec_path, tmp_path):
     script = (
         "import sys\n"
