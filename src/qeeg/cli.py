@@ -180,7 +180,11 @@ def cmd_synth(args) -> int:
         spec_path = Path(args.spec)
         if not spec_path.is_file():
             raise ConfigError(f"--spec file not found: {spec_path}")
-        spec = SynthSpec.from_json(json.loads(spec_path.read_text()))
+        try:
+            spec = SynthSpec.from_json(json.loads(spec_path.read_text()))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"--spec {spec_path} is not a SynthSpec: "
+                              f"{type(exc).__name__}: {exc}") from None
     else:
         spec = SynthSpec.default()
     recordings = synthesize_dataset(spec, seed=args.seed)

@@ -262,19 +262,23 @@ def test_seed_is_a_crossval_flag(data_dir, tmp_path, capsys, command):
 
 
 CACHE_HEADER = "subject_id,session_index,label,channel,band,segment_index,value\n"
-BAD_COMMANDS = {  # argv after --data, and the content of the file named {file}
-    "sweep_pcs_values": (["sweep", *QUAD, "--axis", "pcs", "--values", "1,x"], None),
-    "sweep_segment_values": (["sweep", *QUAD, "--axis", "segment",
+BAD_COMMANDS = {  # argv, and the content of the file named {file}
+    "sweep_pcs_values": (["sweep", "--data", "{data}", *QUAD, "--axis", "pcs",
+                          "--values", "1,x"], None),
+    "sweep_segment_values": (["sweep", "--data", "{data}", *QUAD, "--axis", "segment",
                               "--values", "1.0,abc"], None),
-    "model_not_json": (["eval", "--model", "{file}"], "not json\n"),
-    "model_without_data": (["eval", "--model", "{file}"], "{}\n"),
-    "cache_session_not_int": (["train", *QUAD, "--cache", "{file}"],
+    "model_not_json": (["eval", "--data", "{data}", "--model", "{file}"], "not json\n"),
+    "model_without_data": (["eval", "--data", "{data}", "--model", "{file}"], "{}\n"),
+    "cache_session_not_int": (["train", "--data", "{data}", *QUAD, "--cache", "{file}"],
                               CACHE_HEADER + "S01,x,AD,F7,alpha,0,0.5\n"),
-    "cache_short_row": (["search", "--band", "alpha", "--cache", "{file}"],
+    "cache_short_row": (["search", "--data", "{data}", "--band", "alpha",
+                         "--cache", "{file}"],
                         CACHE_HEADER + "S01,1,AD,F7,alpha,0.5\n"),
-    "cache_broken_header": (["connectivity", "--mode", "triple", "--cache", "{file}"],
-                            "# config: {broken\n" + CACHE_HEADER),
-    "train_without_channels": (["train", "--band", "alpha"], None),
+    "cache_broken_header": (["connectivity", "--data", "{data}", "--mode", "triple",
+                             "--cache", "{file}"], "# config: {broken\n" + CACHE_HEADER),
+    "train_without_channels": (["train", "--data", "{data}", "--band", "alpha"], None),
+    "spec_not_json": (["synth", "--spec", "{file}"], "not json\n"),
+    "spec_without_subjects": (["synth", "--spec", "{file}"], "{}\n"),
 }
 
 
@@ -284,9 +288,10 @@ def test_bad_input_is_an_error_without_out_dir(data_dir, tmp_path, capsys,
     bad = tmp_path / "input"
     if content is not None:
         bad.write_text(content)
-    argv = [arg.replace("{file}", str(bad)) for arg in argv]
+    argv = [arg.replace("{file}", str(bad)).replace("{data}", str(data_dir))
+            for arg in argv]
     out = tmp_path / "out"
-    rc = main([argv[0], "--data", str(data_dir), *argv[1:], "--out", str(out)])
+    rc = main(argv + ["--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and "Traceback" not in err
