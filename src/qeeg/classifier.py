@@ -58,11 +58,14 @@ def _optimal_bias(margins_wo_b: np.ndarray, y: np.ndarray, w_norm_sq: float,
     """Primal-optimal intercept for fixed weights.
 
     The primal is piecewise linear in b, so its minimum sits on a hinge
-    kink b = y_i - w.x_i; ties resolve to the smallest candidate."""
+    kink b = y_i - w.x_i; ties resolve to the smallest candidate.  Where
+    the primal is flat over an interval, rounding makes its values at the
+    kinks differ in the last bits, so every candidate within a relative
+    1e-9 of the minimum counts as tied."""
     candidates = np.sort(y - margins_wo_b)
     hinge = np.maximum(0.0, 1.0 - y[None, :] * (margins_wo_b[None, :] + candidates[:, None]))
     objective = 0.5 * w_norm_sq + c * hinge.sum(axis=1)
-    best = int(np.argmin(objective))
+    best = int(np.argmax(objective <= objective.min() * (1.0 + 1e-9)))
     return float(candidates[best]), float(objective[best])
 
 

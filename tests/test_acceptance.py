@@ -262,6 +262,13 @@ def test_criterion_8_end_to_end(synthetic8):
     assert elapsed < 300.0, f"1680-trial search took {elapsed:.0f}s"
     best_acc = max(r.acc for r in results if r.valid)
     assert best_acc >= 90.0
+    # rotating channels 2 -> 3 -> 4 is the automorphism i -> j -> k of the
+    # quaternions, so the three orders of a rotation class agree
+    outcome = {r.permutation: (r.acc, r.p_used) for r in results}
+    disagree = [(a, b, c, d) for (a, b, c, d) in outcome
+                if not outcome[(a, b, c, d)] == outcome[(a, d, b, c)]
+                == outcome[(a, c, d, b)]]
+    assert not disagree, f"{len(disagree)} orders disagree with their rotations"
 
     dists = {}
     for band in ("delta", "theta", "alpha", "beta"):

@@ -4,11 +4,13 @@ Expected values: the two-point max-margin problem x=0 (y=-1), x=1 (y=+1)
 has the analytic solution f(x) = 2x - 1; the confusion (tp=5, fn=0,
 tn=5, fp=1) evaluates to ACC 90.91, SEN 100, SPE 83.33.
 """
+import itertools
+
 import numpy as np
 import pytest
 
-from qeeg.classifier import (ConfusionCounts, confusion, cross_validate,
-                             metrics, svm_fit, svm_predict)
+from qeeg.classifier import (ConfusionCounts, _optimal_bias, confusion,
+                             cross_validate, metrics, svm_fit, svm_predict)
 from qeeg.errors import DegenerateDataError, ParameterError, ShapeError, ValidationError
 
 
@@ -69,6 +71,20 @@ def test_dual_feasibility_at_convergence():
     assert np.all(model.alphas <= c + 1e-12)
     assert abs(np.dot(model.alphas, y)) <= 1e-9
     assert model.duality_gap <= 1e-6
+
+
+def test_optimal_bias_flat_objective_ignores_rounding_noise():
+    # kinks y - m sort to (-0.8, -0.6, 0.3, 0.9); two hinges of each class
+    # are active between -0.6 and 0.3, so the primal is flat there and the
+    # smallest tied kink, -0.6, is the documented answer
+    y = np.array([1.0, 1.0, -1.0, -1.0])
+    margins = np.array([0.7, 0.1, -0.4, -0.2])
+    biases = []
+    for steps in itertools.product((-np.inf, None, np.inf), repeat=len(margins)):
+        perturbed = np.array([m if s is None else np.nextafter(m, s)
+                              for m, s in zip(margins, steps)])
+        biases.append(_optimal_bias(perturbed, y, 0.5, 1.0)[0])
+    np.testing.assert_allclose(biases, -0.6, rtol=0, atol=1e-12)
 
 
 def test_predict_signs_and_tie_rule():
