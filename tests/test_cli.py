@@ -299,6 +299,8 @@ def test_bad_input_is_an_error_without_out_dir(data_dir, tmp_path, capsys,
 
 
 def test_runs_without_scipy(spec_path, tmp_path):
+    # scipy is only the test oracle of the periodogram; blocking it in a
+    # fresh interpreter shows that the package needs numpy alone
     script = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
