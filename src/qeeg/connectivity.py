@@ -11,6 +11,24 @@ means are comparable and the interclass distance
 
 is well defined.  Tensors map every ordered distinct channel tuple to the
 class-mean measure; degenerate tuples are recorded as missing entries.
+
+`measure_values` runs once per rotation class (`pipeline.rotation_class_key`):
+1 of every 3 orders, for quadruples and pure-quaternion triples alike.
+Rotating the three imaginary channels, (w, a, b, c) -> (w, c, a, b) or
+(a, b, c) -> (c, a, b), applies the automorphism phi: i -> j -> k -> i,
+phi(q) = u q conj(u) with u = (1 + i + j + k) / 2, to every embedded row;
+a pure quaternion stays pure.  phi is multiplicative, fixes the reals,
+commutes with conjugation and keeps the modulus, so the covariance of the
+rotated rows is phi(C) = phi(U) S phi(U)^H, its QSVD keeps the eigenvalues
+and the positive-real largest-entry convention, and each sample's
+first-component feature becomes phi of the original one, whose mean
+projection (w + x + y + z) / 4 is the same.  The class means and Dist of
+the first order in enumeration order are therefore reported for all three,
+and a degenerate class is skipped once per member.  In floating point the
+orders agree to rounding (about 1e-15); where the cut falls inside a tied
+or zero eigenvalue cluster the first component is not unique, and the
+representative's value is reported for the whole class, where before each
+order's value depended on rounding.
 """
 
 from __future__ import annotations
@@ -22,7 +40,7 @@ import numpy as np
 
 from . import qpca
 from .errors import DegenerateDataError, ParameterError
-from .pipeline import FeatureCache
+from .pipeline import FeatureCache, rotation_class_key
 from .spectral import BAND_NAMES
 
 __all__ = ["ConnectivityTensor", "DistanceReport", "measure_values",
@@ -83,7 +101,8 @@ def _ordered_tuples(axis_labels, size):
 
 
 def _measure_tuples(cache: FeatureCache, keys, mode: str, band: str, tuples=None):
-    """Class means and distances per ordered tuple; degenerate tuples skipped."""
+    """Class means and distances per ordered tuple, measured once per
+    rotation class; the members of a degenerate class are skipped."""
     size = _MODE_SIZES.get(mode)
     if size is None:
         raise ParameterError(f"mode must be 'triple' or 'quadruple', got {mode!r}")
@@ -91,17 +110,28 @@ def _measure_tuples(cache: FeatureCache, keys, mode: str, band: str, tuples=None
               else list(_ordered_tuples(cache.channels, size)))
     rows = []
     skipped = 0
+    measured: dict = {}  # rotation class key -> (means, dist), None if degenerate
     for channels in tuples:
-        try:
-            by_class = measure_values(cache, keys, channels, band)
-        except DegenerateDataError:
+        key = rotation_class_key(channels)
+        if key not in measured:
+            measured[key] = _class_row(cache, keys, channels, band)
+        if measured[key] is None:
             skipped += 1
             continue
-        means = {label: float(vals.mean()) for label, vals in by_class.items()}
-        dist = (interclass_distance(by_class["NonAD"], by_class["AD"])
-                if len(by_class) == 2 else None)
-        rows.append((tuple(channels), means, dist))
+        rows.append((tuple(channels), *measured[key]))
     return rows, skipped
+
+
+def _class_row(cache: FeatureCache, keys, channels, band: str):
+    """(class means, Dist or None) of one tuple; None when it is degenerate."""
+    try:
+        by_class = measure_values(cache, keys, channels, band)
+    except DegenerateDataError:
+        return None
+    means = {label: float(vals.mean()) for label, vals in by_class.items()}
+    dist = (interclass_distance(by_class["NonAD"], by_class["AD"])
+            if len(by_class) == 2 else None)
+    return means, dist
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,8 +19,8 @@ from .classifier import MetricsResult, confusion, metrics, svm_fit, svm_predict
 from .errors import ParameterError, ValidationError
 from .spectral import BAND_NAMES, band_power_matrix
 
-__all__ = ["PipelineParams", "FeatureCache", "TrialOutcome", "resolve_p",
-           "best_over_p", "evaluate_quadruple", "train_pipeline",
+__all__ = ["PipelineParams", "FeatureCache", "TrialOutcome", "rotation_class_key",
+           "resolve_p", "best_over_p", "evaluate_quadruple", "train_pipeline",
            "evaluate_model", "sweep_parameters"]
 
 POSITIVE_LABEL = "AD"  # a true positive is a correctly detected AD sample
@@ -199,6 +199,16 @@ class FeatureCache:
         return cls(segment_seconds=segment_seconds, channels=tuple(channels),
                    bands=BAND_NAMES, keys=tuple(sorted(values)),
                    labels=labels, values=values)
+
+
+def rotation_class_key(channels) -> tuple:
+    """Key shared by the orders of a channel tuple that rotate its last three
+    channels, the i -> j -> k automorphism of the quaternions: (w, a, b, c),
+    (w, c, a, b) and (w, b, c, a) for a full quaternion, (a, b, c), (c, a, b)
+    and (b, c, a) for a pure one.  Callers evaluate the first member of each
+    class in their enumeration order and report its result for the others."""
+    head, tail = tuple(channels[:-3]), tuple(channels[-3:])
+    return head + min(tail[i:] + tail[:i] for i in range(3))
 
 
 @dataclass(frozen=True)

@@ -3,22 +3,46 @@ order, one classification trial each.
 
 Trials are indexed by deterministic enumeration position (combinations in
 lexicographic montage order, the 24 orderings of each in lexicographic
-order), computed independently, and aggregated by index, so result files
-are identical for any parallelism degree.  Per-trial failures become
-marked-invalid rows; they never abort the search.
+order) and aggregated by index, so result files are identical for any
+parallelism degree.  Per-trial failures become marked-invalid rows; they
+never abort the search.
+
+Only 8 of a combination's 24 orders are evaluated.  Let phi be the
+automorphism i -> j -> k -> i of the quaternions, phi(q) = u q conj(u) with
+u = (1 + i + j + k) / 2: it is real-linear and multiplicative, fixes the
+reals, commutes with conjugation and keeps the modulus.  Rotating channels
+2 -> 3 -> 4, (w, a, b, c) -> (w, c, a, b), applies phi to every embedded
+row, so it maps the row mean, the covariance C and its QSVD: C = U S U^H
+gives phi(C) = phi(U) S phi(U)^H, with the same eigenvalues (hence the same
+p, fixed, swept or by energy share), and phi(U) keeps the convention that a
+column's largest-norm entry is a positive real (Le Bihan & Mars, "Singular
+value decomposition of quaternion matrices", Signal Processing 2004).  The
+features become phi of the features, whose x, y, z parts only rotate, and
+the mean, absolute, norm and phase projections are symmetric in them: every
+SVM of the rotated order sees the same real features.  So the first order
+of each rotation class (`pipeline.rotation_class_key`) is evaluated and its
+row is copied to the other two, each with its own trial index and
+permutation.  In floating point the three orders agree to rounding
+(features to about 1e-14), which decides nothing except where the p cut
+falls inside a tied or zero eigenvalue cluster: there the subspace is not
+unique, and the representative's result is reported for the whole class,
+where before each order's result depended on rounding.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, islice, permutations
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ParameterError
-from .pipeline import FeatureCache, PipelineParams, evaluate_quadruple
+from .pipeline import (FeatureCache, PipelineParams, evaluate_quadruple,
+                       rotation_class_key)
 
 __all__ = [
     "TrialResult", "CombinationSummary", "LOBE_GROUPS", "lobe_of",
@@ -86,20 +110,54 @@ class CombinationSummary:
 # worker-global context set once per process; avoids re-pickling per chunk
 _CTX: dict | None = None
 
+# thread-count setter of the OpenBLAS in numpy 2 wheels, then in numpy 1 wheels
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+
 
 def _init_worker(ctx: dict) -> None:
+    """Pool initializer: the search context, and one BLAS thread per worker,
+    since the workers already share the cores among themselves."""
     global _CTX
     _CTX = ctx
+    _pin_blas_threads()
+
+
+def _pin_blas_threads() -> None:
+    """Set the OpenBLAS bundled with numpy to one thread; leave BLAS as it is
+    when no such library or entry point is found."""
+    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs_dir.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
 
 
 def _run_chunk(bounds) -> list:
-    start, stop = bounds
-    ctx = _CTX
+    """Pool task: the trials of one chunk, in the worker's context."""
+    return _run_range(_CTX, *bounds)
+
+
+def _run_range(ctx: dict, start: int, stop: int) -> list:
+    """Trials start..stop-1; one evaluation per rotation class, whose
+    members all lie in the range (its bounds are multiples of 24)."""
     tuples = islice(enumerate_channel_tuples(ctx["montage"], 4, ordered=True),
                     start, stop)
     rows = []
+    first: dict = {}  # rotation class key -> the representative's row
     for index, perm in enumerate(tuples, start=start):
-        rows.append(_run_one(ctx, index, perm))
+        key = rotation_class_key(perm)
+        if key in first:
+            row = replace(first[key], trial_index=index, permutation=tuple(perm))
+        else:
+            row = first[key] = _run_one(ctx, index, perm)
+        rows.append(row)
     return rows
 
 
@@ -126,12 +184,12 @@ def run_search(cache: FeatureCache, train_keys, test_keys, band: str,
            "test_keys": list(test_keys), "band": band, "params": params,
            "montage": cache.channels}
 
-    chunk = max(24, math.ceil(total / max(parallelism * 8, 1)))
+    # whole combinations per chunk, so that no rotation class straddles two
+    chunk = 24 * math.ceil(total / 24 / (parallelism * 8))
     bounds = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     if parallelism == 1:
-        _init_worker(ctx)
-        chunks = map(_run_chunk, bounds)
-        results = [row for rows in chunks for row in rows]
+        results = [row for start, stop in bounds
+                   for row in _run_range(ctx, start, stop)]
     else:
         with ProcessPoolExecutor(max_workers=parallelism, initializer=_init_worker,
                                  initargs=(ctx,)) as pool:

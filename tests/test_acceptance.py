@@ -18,7 +18,7 @@ from qeeg.cli import main as cli_main
 from qeeg.connectivity import interclass_distance, measure_values
 from qeeg.dataset import (EegRecording, SynthSpec, session_split,
                           synthesize_dataset)
-from qeeg.pipeline import FeatureCache, PipelineParams
+from qeeg.pipeline import FeatureCache, PipelineParams, evaluate_quadruple
 from qeeg.qlinalg import QuaternionMatrix, qsvd
 from qeeg.qpca import fit as qpca_fit, transform
 from qeeg.quaternion import I, J, K, ONE, Quaternion
@@ -269,6 +269,17 @@ def test_criterion_8_end_to_end(synthetic8):
                 if not outcome[(a, b, c, d)] == outcome[(a, d, b, c)]
                 == outcome[(a, c, d, b)]]
     assert not disagree, f"{len(disagree)} orders disagree with their rotations"
+    # the search evaluates one order per class and copies its row; the first
+    # order of a combination represents its class, so evaluate the two other
+    # orders of the first class of every 7th combination on their own
+    by_perm = {r.permutation: r for r in results}
+    for a, b, c, d in [r.permutation for r in results[::24 * 7]]:
+        for rotated in ((a, d, b, c), (a, c, d, b)):
+            row = by_perm[rotated]
+            direct = evaluate_quadruple(cache, (train_keys, test_keys), rotated,
+                                        "alpha", params)
+            assert row.valid and (row.acc, row.sen, row.spe, row.p_used) == (
+                direct.acc, direct.sen, direct.spe, direct.p_used), rotated
 
     dists = {}
     for band in ("delta", "theta", "alpha", "beta"):

@@ -227,7 +227,8 @@ def test_connectivity_measures_each_tuple_once(data_dir, tmp_path, monkeypatch):
     rc = main(["connectivity", "--data", str(data_dir), "--mode", "triple",
                "--out", str(tmp_path / "conn")])
     assert rc == 0
-    assert len(calls) == len(set(calls)) == 5 * 4 * 3 * 4  # tuples x bands
+    # one call per rotation class of the 5 * 4 * 3 ordered triples, per band
+    assert len(calls) == len(set(calls)) == 5 * 4 * 3 // 3 * 4
 
 
 def test_sweep_rejects_cache(data_dir, tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Connectivity measure, interclass distance, and tensor tests."""
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,6 @@ def test_build_tensors_counts(small_cache, small_keys):
 
 def test_ordered_triple_count_full_montage():
     # 19 montage channels give 19*18*17 ordered distinct triples
-    from itertools import permutations
     from qeeg.dataset import STANDARD_MONTAGE_19
     assert sum(1 for _ in permutations(STANDARD_MONTAGE_19, 3)) == 5814
 
@@ -102,6 +103,33 @@ def test_build_tensors_quadruple_counts():
     assert all(len(t.entries) == 24 for t in tensors.values())
     triples, _ = build_tensors(cache, cache.keys, "triple", "alpha")
     assert all(len(t.entries) == 24 for t in triples.values())  # 4*3*2
+
+
+@pytest.mark.parametrize("mode,size", [("triple", 3), ("quadruple", 4)])
+def test_reduced_report_matches_every_tuple_measured(small_cache, small_keys, mode, size):
+    # the report measures one order per rotation class; measuring every
+    # ordered tuple on its own gives the same class means and Dist
+    train, _ = small_keys
+    report = distance_report(small_cache, train, mode)
+    tuples = list(permutations(small_cache.channels, size))
+    assert report.tuples == tuple(tuples)
+    for band in report.bands:
+        for i, channels in enumerate(tuples):
+            by_class = measure_values(small_cache, train, channels, band)
+            for label in ("NonAD", "AD"):
+                assert abs(report.class_means_by_band[band][label][i]
+                           - by_class[label].mean()) <= 1e-12, (band, channels)
+            dist = interclass_distance(by_class["NonAD"], by_class["AD"])
+            assert abs(report.dist_by_band[band][i] - dist) <= 1e-12, (band, channels)
+
+
+def test_degenerate_class_skipped_for_each_member():
+    rng = np.random.default_rng(6)
+    cache = synthetic_cache(rng, constant_channels=("A", "B", "C"))
+    # the triples of A, B, C in both rotation directions are degenerate
+    tensors, skipped = build_tensors(cache, cache.keys, "triple", "alpha")
+    assert skipped == 6
+    assert all(len(t.entries) == 60 - 6 for t in tensors.values())
 
 
 def test_tensor_json_layout(small_cache, small_keys):

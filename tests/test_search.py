@@ -1,12 +1,16 @@
 """Channel-subset enumeration and exhaustive search tests."""
+import ctypes
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import synthetic_cache
 from qeeg.errors import ParameterError
-from qeeg.pipeline import PipelineParams
-from qeeg.search import (count_tuples, enumerate_channel_tuples, lobe_of,
-                         rank, run_search)
+from qeeg.pipeline import PipelineParams, evaluate_quadruple, rotation_class_key
+from qeeg.search import (_init_worker, count_tuples, enumerate_channel_tuples,
+                         lobe_of, rank, run_search)
 
 
 def test_count_montage_subset_sizes():
@@ -65,6 +69,54 @@ def test_search_shape_and_indexing(search_results):
     assert all(s.n_trials == 24 for s in summaries)
 
 
+def test_search_rows_match_direct_evaluation(small_cache, small_keys, search_results):
+    # the search evaluates one order per rotation class; every other order,
+    # evaluated on its own, must give the row the search copied into it
+    train, test = small_keys
+    params = PipelineParams(p_sweep_limit=5)
+    results, _ = search_results
+    for r in results:
+        direct = evaluate_quadruple(small_cache, (train, test), r.permutation,
+                                    "alpha", params)
+        assert r.valid
+        assert (r.acc, r.sen, r.spe, r.p_used) == (direct.acc, direct.sen, direct.spe,
+                                                   direct.p_used), r.permutation
+
+
+def test_search_evaluates_one_order_per_rotation_class(small_cache, small_keys,
+                                                       monkeypatch):
+    import qeeg.search
+
+    calls = []
+    evaluate = qeeg.search.evaluate_quadruple
+
+    def counted(cache, split, quadruple, band, params):
+        calls.append(tuple(quadruple))
+        return evaluate(cache, split, quadruple, band, params)
+
+    monkeypatch.setattr(qeeg.search, "evaluate_quadruple", counted)
+    train, test = small_keys
+    run_search(small_cache, train, test, "alpha", PipelineParams(p_sweep_limit=2))
+    ordered = list(enumerate_channel_tuples(small_cache.channels, 4, ordered=True))
+    first = {}
+    for t in ordered:
+        first.setdefault(rotation_class_key(t), t)
+    assert calls == list(first.values())  # 8 of 24 per combination, in order
+    assert len(calls) == 40
+
+
+def test_rotation_class_key():
+    assert (rotation_class_key(("W", "A", "B", "C")) == rotation_class_key(("W", "C", "A", "B"))
+            == rotation_class_key(("W", "B", "C", "A")))
+    assert rotation_class_key(("W", "A", "B", "C")) != rotation_class_key(("W", "A", "C", "B"))
+    assert rotation_class_key(("A", "B", "C")) == rotation_class_key(("C", "A", "B"))
+    assert rotation_class_key(("A", "B", "C")) != rotation_class_key(("A", "C", "B"))
+    ordered = list(enumerate_channel_tuples(tuple("ABCDE"), 4, ordered=True))
+    assert len({rotation_class_key(t) for t in ordered}) == 120 // 3
+    triples = list(enumerate_channel_tuples(tuple("ABCDE"), 3, ordered=True))
+    assert len({rotation_class_key(t) for t in triples}) == 60 // 3
+
+
 def test_search_parallel_determinism(small_cache, small_keys, search_results):
     train, test = small_keys
     params = PipelineParams(p_sweep_limit=5)
@@ -88,6 +140,27 @@ def test_search_order_can_change_metrics(search_results):
     assert any(len({r.acc for r in results
                     if tuple(sorted(r.permutation)) == tuple(sorted(s.combination))}) > 1
                for s in summaries)
+
+
+def _openblas_threads():
+    """Thread count of the OpenBLAS in numpy.libs, None when there is none."""
+    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs_dir.glob("*openblas*")):
+        getter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
+    return None
+
+
+def test_pool_workers_use_one_blas_thread():
+    before = _openblas_threads()
+    if before is None:
+        pytest.skip("numpy does not bundle a scipy-openblas library")
+    with ProcessPoolExecutor(max_workers=1, initializer=_init_worker,
+                             initargs=({},)) as pool:
+        assert pool.submit(_openblas_threads).result(timeout=60) == 1
+    assert _openblas_threads() == before  # the calling process keeps its setting
 
 
 def test_search_per_trial_failure_recorded_not_raised():
