@@ -11,6 +11,7 @@ function of (spec, seed).
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,28 +126,28 @@ def load_recording(manifest_path) -> EegRecording:
     data_path = manifest_path.parent / manifest["data_file"]
     if not data_path.is_file():
         raise ValidationError(f"data file not found: {data_path}")
-    with open(data_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"malformed header: {data_path} is empty") from None
-        header = [h.strip() for h in header]
-        if not header or any(not h for h in header):
-            raise ValidationError(f"malformed header in {data_path}: blank channel name")
-        n_channels = len(header)
-        rows = []
-        for i, row in enumerate(reader):
-            if len(row) != n_channels:
-                raise ValidationError(
-                    f"ragged row {i + 1} in {data_path}: {len(row)} values, "
-                    f"expected {n_channels}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValidationError(f"bad value in row {i + 1} of {data_path}: {exc}") from None
+    text = data_path.read_text()
+    if not text:
+        raise ValidationError(f"malformed header: {data_path} is empty")
+    header_line, _, body = text.partition("\n")
+    header = [h.strip() for h in next(csv.reader([header_line]))]
+    if not header or any(not h for h in header):
+        raise ValidationError(f"malformed header in {data_path}: blank channel name")
+    n_channels = len(header)
+    rows = body.splitlines()
+    for i, row in enumerate(rows):
+        n_values = row.count(",") + 1 if row else 0
+        if n_values != n_channels:
+            raise ValidationError(
+                f"ragged row {i + 1} in {data_path}: {n_values} values, "
+                f"expected {n_channels}")
     if not rows:
         raise ValidationError(f"{data_path} contains a header but no samples")
+    try:
+        samples = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                             dtype=np.float64, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"bad value in {data_path}: {exc}") from None
 
     return EegRecording(
         subject_id=str(manifest["subject_id"]),
@@ -154,7 +155,7 @@ def load_recording(manifest_path) -> EegRecording:
         label=str(manifest["label"]),
         sampling_rate_hz=float(manifest["sampling_rate_hz"]),
         channel_labels=tuple(header),
-        samples=np.asarray(rows, dtype=np.float64).T,
+        samples=samples.T,
         montage=manifest.get("montage"),
     )
 
