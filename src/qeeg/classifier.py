@@ -3,9 +3,11 @@ cross-validation.
 
 The SVM is trained in the dual with maximal-violating-pair coordinate
 ascent (SMO-style two-variable updates) until the primal-dual gap falls
-below tolerance.  The bias is recovered as the primal-optimal intercept for
-the final weight vector.  Everything is deterministic: ties in working-set
-selection break to the lowest index, fold shuffles derive from the seed.
+below tolerance; SVMs on the leading columns of one feature matrix train
+together, one lockstep update per iteration.  The bias is recovered as the
+primal-optimal intercept for the final weight vector.  Everything is
+deterministic: ties in working-set selection break to the lowest index,
+fold shuffles derive from the seed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .errors import DegenerateDataError, ParameterError, ShapeError, ValidationE
 
 __all__ = [
     "LinearSvmModel", "ConfusionCounts", "MetricsResult", "CrossValResult",
-    "svm_fit", "svm_predict", "confusion", "metrics", "cross_validate",
+    "svm_fit", "svm_fit_prefixes", "svm_predict", "svm_predict_prefixes", "confusion",
+    "metrics", "cross_validate",
 ]
 
 _GAP_CHECK_EVERY = 32
@@ -53,87 +56,173 @@ def _as_features(features) -> np.ndarray:
     return x
 
 
-def _optimal_bias(margins_wo_b: np.ndarray, y: np.ndarray, w_norm_sq: float,
-                  c: float):
-    """Primal-optimal intercept for fixed weights.
+def _optimal_bias(margins_wo_b: np.ndarray, y: np.ndarray, w_norm_sq, c: float):
+    """Primal-optimal intercept for fixed weights, one per row of
+    margins_wo_b (P, n) or (n,) and of w_norm_sq (P,); returns the (P,)
+    intercepts and primal objectives.
 
     The primal is piecewise linear in b, so its minimum sits on a hinge
     kink b = y_i - w.x_i; ties resolve to the smallest candidate.  Where
     the primal is flat over an interval, rounding makes its values at the
     kinks differ in the last bits, so every candidate within a relative
     1e-9 of the minimum counts as tied."""
-    candidates = np.sort(y - margins_wo_b)
-    hinge = np.maximum(0.0, 1.0 - y[None, :] * (margins_wo_b[None, :] + candidates[:, None]))
-    objective = 0.5 * w_norm_sq + c * hinge.sum(axis=1)
-    best = int(np.argmax(objective <= objective.min() * (1.0 + 1e-9)))
-    return float(candidates[best]), float(objective[best])
+    margins = np.atleast_2d(margins_wo_b)
+    candidates = np.sort(y - margins, axis=1)
+    hinge = np.maximum(0.0, 1.0 - y * (margins[:, None, :] + candidates[:, :, None]))
+    objective = 0.5 * np.asarray(w_norm_sq).reshape(-1, 1) + c * hinge.sum(axis=2)
+    tied = objective <= objective.min(axis=1, keepdims=True) * (1.0 + 1e-9)
+    rows, best = np.arange(len(margins)), tied.argmax(axis=1)
+    return candidates[rows, best], objective[rows, best]
+
+
+def _validated(features, labels, regularization_c: float):
+    x = _as_features(features)
+    y = np.asarray(labels, dtype=np.float64)
+    if y.ndim != 1 or len(y) != x.shape[0]:
+        raise ShapeError(f"{x.shape[0]} rows but {y.shape} labels")
+    if not (np.abs(y) == 1.0).all():
+        raise ValidationError("labels must be -1 or +1")
+    if np.count_nonzero(y > 0) in (0, len(y)):
+        raise DegenerateDataError("training set contains a single class")
+    if regularization_c <= 0:
+        raise ParameterError(f"regularization C must be positive, got {regularization_c}")
+    return x, y, float(regularization_c)
 
 
 def svm_fit(features, labels, regularization_c: float = 1.0, tol: float = 1e-6,
             max_iter: int = 200_000) -> LinearSvmModel:
     """Train a soft-margin linear SVM to duality gap <= tol."""
-    x = _as_features(features)
-    y = np.asarray(labels, dtype=np.float64)
-    if y.ndim != 1 or len(y) != x.shape[0]:
-        raise ShapeError(f"{x.shape[0]} rows but {y.shape} labels")
-    if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise ValidationError("labels must be -1 or +1")
-    if len(np.unique(y)) < 2:
-        raise DegenerateDataError("training set contains a single class")
-    if regularization_c <= 0:
-        raise ParameterError(f"regularization C must be positive, got {regularization_c}")
+    x, y, c = _validated(features, labels, regularization_c)
+    return _smo(x, y, [x.shape[1]], c, tol, max_iter)[0]
 
-    n = len(y)
-    c = float(regularization_c)
-    alpha = np.zeros(n)
-    w = np.zeros(x.shape[1])
-    xw = np.zeros(n)
-    bias, gap = 0.0, np.inf
+
+def svm_fit_prefixes(features, labels, widths, regularization_c: float = 1.0,
+                     tol: float = 1e-6, max_iter: int = 200_000) -> list:
+    """One SVM per width p, on the leading p feature columns, all trained in
+    one lockstep solver.  Model k is the one `svm_fit(features[:, :p_k], ...)`
+    trains, up to rounding."""
+    x, y, c = _validated(features, labels, regularization_c)
+    widths = [int(p) for p in widths]
+    if not widths or not all(1 <= p <= x.shape[1] for p in widths):
+        raise ParameterError(f"widths {widths} outside [1, {x.shape[1]}]")
+    return _smo(x, y, widths, c, tol, max_iter)
+
+
+def _smo(x: np.ndarray, y: np.ndarray, widths, c: float, tol: float,
+         max_iter: int) -> list:
+    """Maximal-violating-pair SMO (Keerthi et al., "Improvements to Platt's
+    SMO algorithm for SVM classifier design", Neural Computation 2001) for
+    P problems in lockstep, problem k on the first widths[k] columns of x.
+
+    Every iteration picks each live problem's working pair, makes one update
+    per problem along a direction masked to its columns, and computes X w for
+    all of them in one call.  The iteration counter is shared, so each
+    problem takes the steps and gap checks it would take alone.  A problem
+    retires when its duality gap is within tol or no pair violates the KKT
+    conditions.
+
+    The state is beta = y * alpha, which turns the box 0 <= alpha <= C into
+    lower <= beta <= upper and each pair update into beta_i += t, beta_j -= t;
+    the violation -y * grad is y - X w.  Both rewrites are exact in floating
+    point."""
+    x = x[:, :max(widths)]
+    xt, (n, width) = x.T, x.shape
+    upper = c * (y > 0)
+    lower = upper - c
     eps_a = 1e-12 * max(1.0, c)
+    can_rise = upper - eps_a   # beta < can_rise: alpha may move up
+    can_fall = lower + eps_a   # beta > can_fall: alpha may move down
+
+    # state of the live problems, compacted as problems retire; the flat
+    # views index element (r, i) of a (live, n) array at r * n + i
+    live = np.arange(len(widths))
+    xm = x * (np.arange(width) < np.array(widths)[:, None, None])  # (P, n, width)
+    beta = np.zeros((len(widths), n))
+    w = np.zeros((len(widths), width))
+    xw = np.zeros((len(widths), n))
+    offsets, flat_xm, flat_beta = live * n, xm.reshape(-1, width), beta.reshape(-1)
+    bias, gap = np.zeros(len(widths)), np.full(len(widths), np.inf)
+    models = [None] * len(widths)
+
+    def retire(rows, iterations):
+        for r, k in zip(rows.tolist(), live[rows].tolist()):
+            models[k] = LinearSvmModel(
+                weights=w[r, :widths[k]], bias=float(bias[k]), regularization_c=c,
+                alphas=np.abs(beta[r]), duality_gap=float(gap[k]), iterations=iterations)
 
     it = 0
-    for it in range(1, max_iter + 1):
-        grad = y * xw - 1.0
-        violation = -y * grad
-        up = ((y > 0) & (alpha < c - eps_a)) | ((y < 0) & (alpha > eps_a))
-        low = ((y < 0) & (alpha < c - eps_a)) | ((y > 0) & (alpha > eps_a))
-        converged_kkt = True
-        if up.any() and low.any():
-            i = int(np.argmax(np.where(up, violation, -np.inf)))
-            j = int(np.argmin(np.where(low, violation, np.inf)))
-            converged_kkt = violation[i] - violation[j] <= 1e-12
-        if not converged_kkt:
-            diff = x[i] - x[j]
-            eta = float(diff @ diff)
-            cap_i = (c - alpha[i]) if y[i] > 0 else alpha[i]
-            cap_j = alpha[j] if y[j] > 0 else (c - alpha[j])
-            t = min(cap_i, cap_j)
-            if eta > 1e-12:
-                t = min(t, (violation[i] - violation[j]) / eta)
-            if t <= 0:
-                converged_kkt = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            violation = y - xw
+            v_up = np.where(beta < can_rise, violation, -np.inf)
+            v_low = np.where(beta > can_fall, violation, np.inf)
+            i, j = v_up.argmax(axis=1), v_low.argmin(axis=1)
+            fi, fj = offsets + i, offsets + j
+            step = v_up.ravel()[fi] - v_low.ravel()[fj]  # -inf when a side is empty
+
+            diff = flat_xm[fi] - flat_xm[fj]
+            eta = np.vecdot(diff, diff)
+            beta_i, beta_j = flat_beta[fi], flat_beta[fj]
+            # at most the room in the box, and the Newton step where the
+            # curvature is above 1e-12 (a step over 0 is inf and leaves it out)
+            t = np.minimum(np.minimum(upper[i] - beta_i, beta_j - lower[j]),
+                           step / (eta * (eta > 1e-12)))
+            stop = (step <= 1e-12) | (t <= 0)
+            stopped = stop.nonzero()[0]
+            if stopped.size < len(live):
+                if stopped.size:
+                    t[stopped] = 0.0
+                flat_beta[fi] = beta_i + t
+                flat_beta[fj] = beta_j - t
+                w += t[:, None] * diff
+                xw = w @ xt
+
+            if it % _GAP_CHECK_EVERY == 0 or stopped.size == len(live):
+                check = slice(None)  # every live problem, without a copy
+            elif stopped.size:
+                check = stopped
             else:
-                alpha[i] += y[i] * t
-                alpha[j] -= y[j] * t
-                w += t * diff
-                xw = x @ w
+                continue
+            ids, w_sq = live[check], np.vecdot(w[check], w[check])
+            bias[ids], primal = _optimal_bias(xw[check], y, w_sq, c)
+            gap[ids] = primal - (np.abs(beta[check]).sum(axis=1) - 0.5 * w_sq)
+            done = np.flatnonzero((gap[live] <= tol) | stop)
+            if done.size:
+                retire(done, it)
+                if done.size == len(live):
+                    break
+                keep = np.ones(len(live), dtype=bool)
+                keep[done] = False
+                live, xm, beta, w, xw = live[keep], xm[keep], beta[keep], w[keep], xw[keep]
+                offsets = np.arange(len(live)) * n
+                flat_xm, flat_beta = xm.reshape(-1, width), beta.reshape(-1)
+        else:
+            retire(np.arange(len(live)), it)
 
-        if converged_kkt or it % _GAP_CHECK_EVERY == 0:
-            bias, primal = _optimal_bias(xw, y, float(w @ w), c)
-            gap = primal - (alpha.sum() - 0.5 * float(w @ w))
-            if gap <= tol or converged_kkt:
-                break
-
-    if gap > tol:
-        warnings.warn(f"SVM stopped after {it} iterations with duality gap {gap:.3e}",
-                      RuntimeWarning, stacklevel=2)
-    return LinearSvmModel(weights=w, bias=bias, regularization_c=c,
-                          alphas=alpha, duality_gap=float(gap), iterations=it)
+    for model in models:
+        if model.duality_gap > tol:
+            warnings.warn(f"SVM stopped after {model.iterations} iterations with duality gap "
+                          f"{model.duality_gap:.3e}", RuntimeWarning, stacklevel=3)
+    return models
 
 
 def svm_predict(model: LinearSvmModel, features) -> np.ndarray:
     """Signs of the decision values; an exact zero resolves to +1."""
     scores = model.decision_function(features)
+    return np.where(scores >= 0.0, 1.0, -1.0)
+
+
+def svm_predict_prefixes(models, features) -> np.ndarray:
+    """Predictions of each model on the leading feature columns it was trained
+    on, one row per model, in one product; an exact zero resolves to +1."""
+    x = _as_features(features)
+    width = max(len(m.weights) for m in models)
+    if width > x.shape[1]:
+        raise ShapeError(f"feature width {x.shape[1]} is below weights length {width}")
+    weights = np.zeros((len(models), width))
+    for row, model in zip(weights, models):
+        row[:len(model.weights)] = model.weights
+    scores = weights @ x[:, :width].T + np.array([m.bias for m in models])[:, None]
     return np.where(scores >= 0.0, 1.0, -1.0)
 
 

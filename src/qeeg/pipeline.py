@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qpca
-from .classifier import MetricsResult, confusion, metrics, svm_fit, svm_predict
+from .classifier import (ConfusionCounts, MetricsResult, confusion, metrics, svm_fit,
+                         svm_fit_prefixes, svm_predict, svm_predict_prefixes)
 from .errors import ParameterError, ValidationError
 from .spectral import BAND_NAMES, band_power_matrix
 
@@ -239,17 +240,22 @@ def resolve_p(params: PipelineParams, p_max: int):
 
 def best_over_p(train_feats, y_train, test_feats, y_test, candidates,
                 svm_c: float) -> TrialOutcome:
-    """One SVM per candidate p on the leading p feature columns; the best test
-    accuracy wins (ties resolve to the smallest component count)."""
-    best = None
-    for p in candidates:
-        svm = svm_fit(train_feats[:, :p], y_train, regularization_c=svm_c)
-        m = metrics(confusion(y_test, svm_predict(svm, test_feats[:, :p])))
-        acc = -1.0 if m.acc is None else m.acc
-        if best is None or acc > best[0] + 1e-12:
-            best = (acc, p, m)
-    _, p_used, m = best
-    return TrialOutcome(acc=m.acc, sen=m.sen, spe=m.spe, p_used=p_used, result=m)
+    """One SVM per candidate p on the leading p feature columns, trained in
+    lockstep and scored in one pass; the best test accuracy wins (ties
+    resolve to the smallest component count)."""
+    models = svm_fit_prefixes(train_feats, y_train, candidates, regularization_c=svm_c)
+    pred = svm_predict_prefixes(models, test_feats) > 0  # (P, n_test)
+    pos = np.asarray(y_test) > 0
+    tp, fp = (pred & pos).sum(axis=1), (pred & ~pos).sum(axis=1)
+    fn, tn = pos.sum() - tp, (~pos).sum() - fp
+    accs = [100.0 * hits / len(pos) if len(pos) else -1.0 for hits in (tp + tn).tolist()]
+    best = 0
+    for k, acc in enumerate(accs):
+        if acc > accs[best] + 1e-12:
+            best = k
+    m = metrics(ConfusionCounts(tp=int(tp[best]), tn=int(tn[best]), fp=int(fp[best]),
+                                fn=int(fn[best])))
+    return TrialOutcome(acc=m.acc, sen=m.sen, spe=m.spe, p_used=candidates[best], result=m)
 
 
 def evaluate_quadruple(cache: FeatureCache, split, quadruple, band: str,

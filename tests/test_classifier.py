@@ -5,12 +5,15 @@ has the analytic solution f(x) = 2x - 1; the confusion (tp=5, fn=0,
 tn=5, fp=1) evaluates to ACC 90.91, SEN 100, SPE 83.33.
 """
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from qeeg.classifier import (ConfusionCounts, _optimal_bias, confusion,
-                             cross_validate, metrics, svm_fit, svm_predict)
+                             cross_validate, metrics, svm_fit, svm_fit_prefixes,
+                             svm_predict)
 from qeeg.errors import DegenerateDataError, ParameterError, ShapeError, ValidationError
 
 
@@ -85,6 +88,30 @@ def test_optimal_bias_flat_objective_ignores_rounding_noise():
                               for m, s in zip(margins, steps)])
         biases.append(_optimal_bias(perturbed, y, 0.5, 1.0)[0])
     np.testing.assert_allclose(biases, -0.6, rtol=0, atol=1e-12)
+
+
+def test_unconverged_warning_once_per_problem():
+    # overlapping classes: with the full budget the widths 1..4 take about
+    # 160, 340, 2270 and 930 iterations, so 200 stops all but width 1
+    rng = np.random.default_rng(0)
+    x, y = blobs(rng, gap=1.0, dim=4)
+    x[:, 0] *= 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        models = svm_fit_prefixes(x, y, [1, 2, 3, 4], max_iter=200)
+    assert models[0].iterations < 200 and models[0].duality_gap <= 1e-6
+    assert all(m.iterations == 200 and m.duality_gap > 1e-6 for m in models[1:])
+    assert [str(w.message) for w in caught] == [
+        f"SVM stopped after 200 iterations with duality gap {m.duality_gap:.3e}"
+        for m in models[1:]]
+    # the warning points at the caller, as a single fit's does
+    assert all(w.category is RuntimeWarning and w.filename == __file__ for w in caught)
+    with warnings.catch_warnings(record=True) as single:
+        warnings.simplefilter("always")
+        svm_fit(x[:, :2], y, max_iter=200)
+    assert len(single) == 1 and single[0].filename == __file__
+    assert re.fullmatch(r"SVM stopped after 200 iterations with duality gap \d\.\d{3}e[+-]\d{2}",
+                        str(single[0].message))
 
 
 def test_predict_signs_and_tie_rule():

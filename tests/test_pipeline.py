@@ -3,9 +3,13 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_cache
+from qeeg import qpca
+from qeeg.classifier import (confusion, metrics, svm_fit, svm_fit_prefixes, svm_predict,
+                             svm_predict_prefixes)
 from qeeg.errors import ParameterError, ValidationError
-from qeeg.pipeline import (FeatureCache, PipelineParams, evaluate_quadruple,
-                           evaluate_model, sweep_parameters, train_pipeline)
+from qeeg.pipeline import (FeatureCache, PipelineParams, best_over_p, evaluate_quadruple,
+                           evaluate_model, resolve_p, sweep_parameters, train_pipeline)
+from qeeg.search import enumerate_channel_tuples
 
 
 def test_cache_structure(small_cache, small_dataset):
@@ -104,6 +108,37 @@ def test_deterministic_evaluation(small_cache, small_keys):
     a = evaluate_quadruple(small_cache, (train, test), quad, "alpha", params)
     b = evaluate_quadruple(small_cache, (train, test), quad, "alpha", params)
     assert (a.acc, a.sen, a.spe, a.p_used) == (b.acc, b.sen, b.spe, b.p_used)
+
+
+@pytest.mark.parametrize("limit", [5, 20])
+def test_lockstep_sweep_matches_fit_per_prefix(small_cache, small_keys, limit):
+    # every trial of the 5-channel search, scored by the lockstep p sweep and
+    # by one svm_fit per prefix with the best-accuracy rule applied in a loop
+    train, test = small_keys
+    y_train, y_test = small_cache.labels_pm1(train), small_cache.labels_pm1(test)
+    for quad in enumerate_channel_tuples(small_cache.channels, 4, ordered=True):
+        q_train = small_cache.vectors(train, quad, "alpha")
+        q_test = small_cache.vectors(test, quad, "alpha")
+        fit_p, candidates = resolve_p(PipelineParams(p_sweep_limit=limit), min(q_train.shape))
+        model = qpca.fit(q_train, p=fit_p, band="alpha")
+        train_feats = qpca.project(qpca.transform(model, q_train), "mean")
+        test_feats = qpca.project(qpca.transform(model, q_test), "mean")
+
+        lockstep = svm_fit_prefixes(train_feats, y_train, candidates)
+        lockstep_pred = svm_predict_prefixes(lockstep, test_feats)
+        best = None
+        for k, p in enumerate(candidates):
+            alone = svm_fit(train_feats[:, :p], y_train)
+            pred = svm_predict(alone, test_feats[:, :p])
+            np.testing.assert_allclose(lockstep[k].weights, alone.weights, rtol=0, atol=1e-6)
+            assert np.array_equal(lockstep_pred[k], pred), (quad, p)
+            m = metrics(confusion(y_test, pred))
+            if best is None or m.acc > best[0].acc + 1e-12:
+                best = (m, p)
+        out = best_over_p(train_feats, y_train, test_feats, y_test, candidates, 1.0)
+        assert (out.acc, out.sen, out.spe, out.p_used) == (
+            best[0].acc, best[0].sen, best[0].spe, best[1]), quad
+        assert out.result == best[0]
 
 
 def test_sweep_segment_axis(small_dataset, small_split):
