@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, connectivity, qpca, search
+from .blas import set_blas_threads
 from .classifier import LinearSvmModel, cross_validate
 from .dataset import (SynthSpec, load_recording, save_recording, session_split,
                       session_split_keys, synthesize_dataset)
@@ -528,11 +529,17 @@ def main(argv=None) -> int:
     if args.command in ("train", "search", "crossval", "sweep", "baseline") \
             and not args.band:
         parser.error(f"{args.command} requires --band")
+    # one BLAS thread: the matrices are small, and the outputs must not depend
+    # on the thread count; a library caller gets its own setting back
+    previous = set_blas_threads(1)
     try:
         return args.func(args)
     except QeegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if previous is not None:
+            set_blas_threads(previous)
 
 
 if __name__ == "__main__":

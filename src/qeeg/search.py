@@ -31,15 +31,14 @@ where before each order's result depended on rounding.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, islice, permutations
-from pathlib import Path
 
 import numpy as np
 
+from .blas import set_blas_threads
 from .errors import ParameterError
 from .pipeline import (FeatureCache, PipelineParams, evaluate_quadruple,
                        rotation_class_key)
@@ -110,33 +109,13 @@ class CombinationSummary:
 # worker-global context set once per process; avoids re-pickling per chunk
 _CTX: dict | None = None
 
-# thread-count setter of the OpenBLAS in numpy 2 wheels, then in numpy 1 wheels
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
-
 
 def _init_worker(ctx: dict) -> None:
     """Pool initializer: the search context, and one BLAS thread per worker,
     since the workers already share the cores among themselves."""
     global _CTX
     _CTX = ctx
-    _pin_blas_threads()
-
-
-def _pin_blas_threads() -> None:
-    """Set the OpenBLAS bundled with numpy to one thread; leave BLAS as it is
-    when no such library or entry point is found."""
-    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs_dir.glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for name in _BLAS_THREAD_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
+    set_blas_threads(1)
 
 
 def _run_chunk(bounds) -> list:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qeeg
@@ -316,6 +317,47 @@ def test_runs_without_scipy(spec_path, tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "feat" / "features.csv").is_file()
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # 40 one-second segments make some products large enough for OpenBLAS
+    # to split over threads, which changes how they round unless the command
+    # runs BLAS on one thread
+    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    if not any(libs_dir.glob("*scipy_openblas*")):
+        pytest.skip("numpy does not bundle a scipy-openblas library")
+    spec = SynthSpec.default(channel_labels=MONTAGE, alpha_affected=AFFECTED,
+                             subjects={"AD": 2, "NonAD": 2})
+    spec = SynthSpec(subjects=spec.subjects, sessions_per_subject=6,
+                     channel_labels=MONTAGE, duration_seconds=40.0,
+                     sampling_rate_hz=100.0, profiles=spec.profiles)
+    (tmp_path / "spec.json").write_text(json.dumps(spec.to_json()))
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--seed", "5",
+                 "--out", str(data)]) == 0
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"conn{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(qeeg.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qeeg.cli", "connectivity",
+                               "--data", str(data), "--mode", "quadruple",
+                               "--band", "alpha", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        # the manifest names --out, every other file must be the same bytes
+        outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
+                            if not p.name.endswith("_manifest.json")}
+    assert len(outputs["1"]) == 3 and outputs["1"] == outputs["2"]
+
+
+def test_command_pins_blas_and_restores_it(data_dir, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("qeeg.cli.set_blas_threads", lambda n: calls.append(n) or 7)
+    assert main(["features", "--data", str(data_dir), "--out", str(tmp_path / "f")]) == 0
+    assert main(["features", "--data", str(tmp_path / "missing"),
+                 "--out", str(tmp_path / "g")]) == 1
+    assert calls == [1, 7, 1, 7]  # one thread while it runs, the caller's after
 
 
 def test_usage_errors(tmp_path, capsys):
