@@ -6,12 +6,12 @@ from . import (baseline, classifier, connectivity, dataset, errors, pipeline,
                qlinalg, qpca, search, spectral)
 from .classifier import (ConfusionCounts, LinearSvmModel, cross_validate,
                          metrics, svm_fit, svm_predict)
-from .dataset import (DatasetSplit, EegRecording, SynthSpec, load_recording,
-                      session_split, save_recording, synthesize_dataset)
+from .dataset import (EegRecording, SynthSpec, load_recording, save_recording,
+                      session_split_keys, synthesize_dataset)
 from .pipeline import FeatureCache, PipelineParams
 from .qlinalg import QSvdResult, QuaternionMatrix, qsvd, truncate
 from .qpca import ChannelQuadruple, QpcaModel
 from .quaternion import Quaternion
-from .spectral import BandDefinition, BandFeatureVector, DEFAULT_BANDS, featurize
+from .spectral import BandDefinition, DEFAULT_BANDS, band_power_matrix
 
 __version__ = "0.1.0"

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError, ShapeError
+from .errors import DegenerateDataError, ShapeError
 from .pipeline import (FeatureCache, PipelineParams, TrialOutcome, best_over_p,
                        evaluate_quadruple, resolve_p)
+from .qpca import select_components
 
 __all__ = ["RealPcaModel", "fit_real_pca", "transform_real",
            "concatenated_features", "compare"]
@@ -52,13 +53,7 @@ def fit_real_pca(training: np.ndarray, p: int | None = None,
     signs[signs == 0] = 1.0
     vecs = vecs * signs[None, :]
 
-    p_max = min(m, dim)
-    if p is None:
-        share = np.cumsum(vals) / vals.sum()
-        p = int(np.searchsorted(share, energy_threshold) + 1)
-        p = min(p, p_max)
-    if not 1 <= p <= p_max:
-        raise ParameterError(f"p={p} outside [1, {p_max}]")
+    p = select_components(vals, p, energy_threshold, m, dim)
     return RealPcaModel(mean=mean, basis=vecs[:, :p].copy(), eigenvalues=vals, p=p)
 
 
@@ -93,8 +88,8 @@ def _evaluate_real(cache: FeatureCache, train_keys, test_keys, channels, band,
 def compare(cache: FeatureCache, train_keys, test_keys, quadruple, band: str,
             params: PipelineParams) -> dict:
     """Paired quaternion-PCA vs real-PCA metrics from identical inputs."""
-    qpca_outcome = evaluate_quadruple(cache, (train_keys, test_keys),
-                                      quadruple, band, params)
+    qpca_outcome = evaluate_quadruple(cache, train_keys, test_keys, quadruple, band,
+                                      params)
     real_outcome = _evaluate_real(cache, train_keys, test_keys,
                                   tuple(quadruple), band, params)
     return {"qpca": qpca_outcome.to_json(), "real_pca": real_outcome.to_json(),

@@ -22,8 +22,8 @@ import numpy as np
 from . import baseline, connectivity, qpca, search
 from .blas import set_blas_threads
 from .classifier import LinearSvmModel, cross_validate
-from .dataset import (SynthSpec, load_recording, save_recording, session_split,
-                      session_split_keys, synthesize_dataset)
+from .dataset import (SynthSpec, load_recording, save_recording, session_split_keys,
+                      synthesize_dataset)
 from .errors import ConfigError, QeegError
 from .pipeline import (FeatureCache, PipelineParams, evaluate_model, resolve_p,
                        sweep_parameters, train_pipeline)
@@ -64,15 +64,12 @@ def _write_csv(path: Path, config: dict, payload: str) -> Path:
 
 
 def _write_run_manifest(out_dir: Path, command: str, config: dict, outputs,
-                        args=None) -> Path:
-    invocation = {}
-    if args is not None:
-        invocation = {k: (list(v) if isinstance(v, tuple) else v)
-                      for k, v in sorted(vars(args).items()) if k != "func"}
+                        args) -> Path:
     manifest = {
         "command": command,
         "config": config,
-        "invocation": invocation,
+        "invocation": {k: (list(v) if isinstance(v, tuple) else v)
+                       for k, v in sorted(vars(args).items()) if k != "func"},
         "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in outputs},
     }
@@ -333,10 +330,10 @@ def cmd_connectivity(args) -> int:
         cache, keys, args.mode, bands)
     out = _out_dir(args)
     paths = []
-    for band, (tensors, skipped) in tensors_by_band.items():
+    for band, tensors in tensors_by_band.items():
         for label, tensor in sorted(tensors.items()):
             doc = tensor.to_json()
-            doc["skipped_tuples"] = skipped
+            doc["skipped_tuples"] = report.skipped_by_band[band]
             paths.append(_write_json(out / f"tensor_{band}_{label}.json", config, doc))
     paths.append(_write_json(out / "distance_report.json", config, report.to_json()))
     _write_run_manifest(out, "connectivity", config, paths, args)
@@ -352,8 +349,7 @@ def cmd_crossval(args) -> int:
     keys = list(cache.keys)
     vectors = cache.vectors(keys, quadruple, args.band)
     fit_p, _ = resolve_p(params, min(vectors.shape))
-    model = qpca.fit(vectors, p=fit_p, energy_threshold=params.p_threshold,
-                     band=args.band)
+    model = qpca.fit(vectors, p=fit_p, energy_threshold=params.p_threshold)
     feats = qpca.project(qpca.transform(model, vectors), params.projection)
     result = cross_validate(feats, cache.labels_pm1(keys), k=args.k,
                             repeats=args.repeats, seed=args.seed,
@@ -385,8 +381,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--values {args.values!r}: expected comma-separated "
                           f"{parse.__name__} values for --axis {args.axis}") from None
     recordings = _load_recordings(args.data)
-    split = session_split(recordings)
-    rows = sweep_parameters(recordings, split, quadruple, args.band,
+    train_keys, test_keys = session_split_keys([r.key() for r in recordings])
+    rows = sweep_parameters(recordings, train_keys, test_keys, quadruple, args.band,
                             axis, values, base=params)
     lines = ["axis,value,acc,sen,spe,p_used,error"]
     for r in rows:
@@ -420,9 +416,8 @@ def cmd_baseline(args) -> int:
 # -- argument parsing ----------------------------------------------------
 
 
-def _add_shared(parser, with_band=True, with_channels=True):
-    if with_band:
-        parser.add_argument("--band", choices=BAND_NAMES, default=None)
+def _add_shared(parser, with_channels=True):
+    parser.add_argument("--band", choices=BAND_NAMES, required=True)
     if with_channels:
         parser.add_argument("--channels", type=_channels_arg, default=None,
                             help="ordered quadruple A,B,C,D (order-sensitive)")
@@ -526,9 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("train", "search", "crossval", "sweep", "baseline") \
-            and not args.band:
-        parser.error(f"{args.command} requires --band")
     # one BLAS thread: the matrices are small, and the outputs must not depend
     # on the thread count; a library caller gets its own setting back
     previous = set_blas_threads(1)

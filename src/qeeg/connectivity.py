@@ -44,8 +44,7 @@ from .pipeline import FeatureCache, rotation_class_key
 from .spectral import BAND_NAMES
 
 __all__ = ["ConnectivityTensor", "DistanceReport", "measure_values",
-           "interclass_distance", "measure_connectivity", "build_tensors",
-           "distance_report"]
+           "interclass_distance", "measure_connectivity"]
 
 _MODE_SIZES = {"triple": 3, "quadruple": 4}
 
@@ -95,19 +94,9 @@ class ConnectivityTensor:
         }
 
 
-def _ordered_tuples(axis_labels, size):
-    """All ordered tuples of distinct channels, lexicographic in montage order."""
-    return permutations(axis_labels, size)
-
-
-def _measure_tuples(cache: FeatureCache, keys, mode: str, band: str, tuples=None):
+def _measure_tuples(cache: FeatureCache, keys, tuples, band: str):
     """Class means and distances per ordered tuple, measured once per
     rotation class; the members of a degenerate class are skipped."""
-    size = _MODE_SIZES.get(mode)
-    if size is None:
-        raise ParameterError(f"mode must be 'triple' or 'quadruple', got {mode!r}")
-    tuples = (list(tuples) if tuples is not None
-              else list(_ordered_tuples(cache.channels, size)))
     rows = []
     skipped = 0
     measured: dict = {}  # rotation class key -> (means, dist), None if degenerate
@@ -118,7 +107,7 @@ def _measure_tuples(cache: FeatureCache, keys, mode: str, band: str, tuples=None
         if measured[key] is None:
             skipped += 1
             continue
-        rows.append((tuple(channels), *measured[key]))
+        rows.append((channels, *measured[key]))
     return rows, skipped
 
 
@@ -136,19 +125,23 @@ def _class_row(cache: FeatureCache, keys, channels, band: str):
 
 @dataclass(frozen=True, eq=False)
 class DistanceReport:
-    """Interclass distances and class measure distributions per band."""
+    """Interclass distances and class measure distributions per band.
+
+    `tuples` lists every tuple that some band measured; a band that skipped
+    one of them holds None at its place."""
 
     mode: str
     n_ns: int
     n_ad: int
     bands: tuple
     tuples: tuple
-    dist_by_band: dict        # band -> per-tuple distances (np.ndarray)
+    dist_by_band: dict        # band -> per-tuple distances
     class_means_by_band: dict  # band -> {label: per-tuple class means}
-    skipped_by_band: dict
+    skipped_by_band: dict     # band -> count of degenerate tuples
 
     def mean_dist(self, band: str) -> float:
-        return float(self.dist_by_band[band].mean())
+        """Mean Dist over the tuples the band measured."""
+        return float(np.mean([d for d in self.dist_by_band[band] if d is not None]))
 
     def to_json(self) -> dict:
         return {
@@ -156,62 +149,51 @@ class DistanceReport:
             "samples": {"NonAD": self.n_ns, "AD": self.n_ad},
             "bands": list(self.bands),
             "tuples": [list(t) for t in self.tuples],
-            "dist": {b: self.dist_by_band[b].tolist() for b in self.bands},
+            "dist": {b: list(self.dist_by_band[b]) for b in self.bands},
             "mean_dist": {b: self.mean_dist(b) for b in self.bands},
             "class_means": {
-                b: {label: vals.tolist()
+                b: {label: list(vals)
                     for label, vals in self.class_means_by_band[b].items()}
                 for b in self.bands},
             "skipped": dict(self.skipped_by_band),
         }
 
 
-def measure_connectivity(cache: FeatureCache, keys, mode: str, bands=BAND_NAMES,
-                         tuples=None):
-    """Tensors and distances from one `measure_values` call per (tuple, band).
+def measure_connectivity(cache: FeatureCache, keys, mode: str, bands=BAND_NAMES):
+    """Tensors and distances over every ordered distinct channel tuple,
+    lexicographic in montage order, from one `measure_values` call per
+    rotation class and band.
 
-    Returns ({band: ({class_label: ConnectivityTensor}, skipped_tuple_count)},
-    DistanceReport)."""
+    Returns ({band: {class_label: ConnectivityTensor}}, DistanceReport)."""
+    size = _MODE_SIZES.get(mode)
+    if size is None:
+        raise ParameterError(f"mode must be 'triple' or 'quadruple', got {mode!r}")
+    tuples = list(permutations(cache.channels, size))
     keys = list(keys)
     counts = {"NonAD": 0, "AD": 0}
     for key in keys:
         counts[cache.labels[key]] += 1
-    tensors_by_band = {}
-    dist_by_band, means_by_band, skipped_by_band = {}, {}, {}
-    kept: tuple | None = None
+    tensors_by_band, usable_by_band, skipped_by_band = {}, {}, {}
     for band in bands:
-        rows, skipped = _measure_tuples(cache, keys, mode, band, tuples)
+        rows, skipped_by_band[band] = _measure_tuples(cache, keys, tuples, band)
         labels = sorted({label for _, means, _ in rows for label in means})
-        tensors = {label: ConnectivityTensor(
+        tensors_by_band[band] = {label: ConnectivityTensor(
             mode=mode, band=band, class_label=label, axis_labels=cache.channels,
             entries={chs: means[label] for chs, means, _ in rows if label in means})
             for label in labels}
-        tensors_by_band[band] = (tensors, skipped)
-        usable = [(chs, means, dist) for chs, means, dist in rows if dist is not None]
-        dist_by_band[band] = np.array([dist for _, _, dist in usable])
+        usable_by_band[band] = {chs: (means, dist) for chs, means, dist in rows
+                                if dist is not None}
+    kept = tuple(chs for chs in tuples if any(chs in usable_by_band[b] for b in bands))
+    dist_by_band, means_by_band = {}, {}
+    for band, usable in usable_by_band.items():
+        cells = [usable.get(chs) for chs in kept]
+        dist_by_band[band] = [None if cell is None else cell[1] for cell in cells]
         means_by_band[band] = {
-            label: np.array([means[label] for _, means, _ in usable])
+            label: [None if cell is None else cell[0][label] for cell in cells]
             for label in ("NonAD", "AD")}
-        skipped_by_band[band] = skipped
-        if kept is None:
-            kept = tuple(chs for chs, _, _ in usable)
     report = DistanceReport(mode=mode, n_ns=counts["NonAD"], n_ad=counts["AD"],
-                            bands=tuple(bands), tuples=kept or (),
+                            bands=tuple(bands), tuples=kept,
                             dist_by_band=dist_by_band,
                             class_means_by_band=means_by_band,
                             skipped_by_band=skipped_by_band)
     return tensors_by_band, report
-
-
-def build_tensors(cache: FeatureCache, keys, mode: str, band: str):
-    """One tensor per class over every ordered distinct channel tuple.
-
-    Returns ({class_label: ConnectivityTensor}, skipped_tuple_count)."""
-    tensors_by_band, _ = measure_connectivity(cache, keys, mode, (band,))
-    return tensors_by_band[band]
-
-
-def distance_report(cache: FeatureCache, keys, mode: str, bands=BAND_NAMES,
-                    tuples=None) -> DistanceReport:
-    """Per-band per-tuple distances and class-mean distributions (plot-ready)."""
-    return measure_connectivity(cache, keys, mode, bands, tuples)[1]

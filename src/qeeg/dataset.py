@@ -22,8 +22,8 @@ from .errors import ParameterError, SplitError, ValidationError
 from .spectral import band_by_name
 
 __all__ = [
-    "STANDARD_MONTAGE_19", "LABELS", "EegRecording", "DatasetSplit",
-    "load_recording", "save_recording", "session_split", "session_split_keys",
+    "STANDARD_MONTAGE_19", "LABELS", "EegRecording",
+    "load_recording", "save_recording", "session_split_keys",
     "BandProfile", "SynthSpec", "synthesize_dataset",
 ]
 
@@ -101,12 +101,6 @@ class EegRecording:
 
     def key(self):
         return (self.subject_id, self.session_index)
-
-
-@dataclass(frozen=True)
-class DatasetSplit:
-    training: tuple
-    testing: tuple
 
 
 def load_recording(manifest_path) -> EegRecording:
@@ -204,15 +198,6 @@ def session_split_keys(keys) -> tuple:
         training.extend((subject, session) for session in indices[:5])
         testing.append((subject, indices[5]))
     return training, testing
-
-
-def session_split(recordings) -> DatasetSplit:
-    """`session_split_keys` applied to recordings."""
-    recordings = list(recordings)
-    by_key = {r.key(): r for r in recordings}
-    train_keys, test_keys = session_split_keys([r.key() for r in recordings])
-    return DatasetSplit(training=tuple(by_key[k] for k in train_keys),
-                        testing=tuple(by_key[k] for k in test_keys))
 
 
 @dataclass(frozen=True)

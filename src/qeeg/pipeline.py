@@ -17,6 +17,7 @@ import numpy as np
 from . import qpca
 from .classifier import (ConfusionCounts, MetricsResult, confusion, metrics, svm_fit,
                          svm_fit_prefixes, svm_predict, svm_predict_prefixes)
+from .dataset import LABELS
 from .errors import ParameterError, ValidationError
 from .spectral import BAND_NAMES, band_power_matrix
 
@@ -164,6 +165,8 @@ class FeatureCache:
 
     @classmethod
     def from_csv_text(cls, text: str, segment_seconds: float) -> "FeatureCache":
+        """Parse `to_csv_text` output.  Each key needs one label from LABELS
+        and exactly one row per cell of its channel x band x segment grid."""
         lines = [ln for ln in text.splitlines()
                  if ln and not ln.startswith("#")]
         header = "subject_id,session_index,label,channel,band,segment_index,value"
@@ -178,15 +181,22 @@ class FeatureCache:
                 key, si, value = (subject, int(session)), int(si), float(value)
             except ValueError as exc:
                 raise ValidationError(f"feature cache row {ln!r}: {exc}") from None
-            labels[key] = label
+            if labels.setdefault(key, label) != label:
+                raise ValidationError(
+                    f"feature cache rows of {key} disagree on the label: "
+                    f"{labels[key]!r} and {label!r}")
             if channel not in channels:
                 channels.append(channel)
             raw.setdefault(key, {}).setdefault(channel, {}).setdefault(band, {})[si] = value
         values = {}
         shape = None
         for key, per_channel in raw.items():
+            if labels[key] not in LABELS:
+                raise ValidationError(
+                    f"unknown label {labels[key]!r} for {key}; expected one of {LABELS}")
+            # a KeyError here is a missing channel, band or segment 0..N_s-1
             try:
-                arr = np.array([[[per_channel[c][b][s] for s in sorted(per_channel[c][b])]
+                arr = np.array([[[per_channel[c][b][s] for s in range(len(per_channel[c][b]))]
                                  for b in BAND_NAMES] for c in channels],
                                dtype=np.float64)
             except (KeyError, ValueError) as exc:
@@ -197,6 +207,12 @@ class FeatureCache:
                 raise ValidationError(
                     f"feature cache shape mismatch for {key}: {arr.shape} vs {shape}")
             values[key] = arr
+        # the grids are complete, so any further row is a repeat or off the grid
+        n_cells = sum(arr.size for arr in values.values())
+        if n_cells != len(lines) - 1:
+            raise ValidationError(
+                f"feature cache has {len(lines) - 1} rows for {n_cells} cells: a row "
+                f"repeats a cell or names a band outside {BAND_NAMES}")
         return cls(segment_seconds=segment_seconds, channels=tuple(channels),
                    bands=BAND_NAMES, keys=tuple(sorted(values)),
                    labels=labels, values=values)
@@ -258,17 +274,14 @@ def best_over_p(train_feats, y_train, test_feats, y_test, candidates,
     return TrialOutcome(acc=m.acc, sen=m.sen, spe=m.spe, p_used=candidates[best], result=m)
 
 
-def evaluate_quadruple(cache: FeatureCache, split, quadruple, band: str,
-                       params: PipelineParams) -> TrialOutcome:
+def evaluate_quadruple(cache: FeatureCache, train_keys, test_keys, quadruple,
+                       band: str, params: PipelineParams) -> TrialOutcome:
     """One full train/test cycle, scored by `best_over_p`."""
-    train_keys, test_keys = _split_keys(split)
     channels = tuple(quadruple)
     q_train = cache.vectors(train_keys, channels, band)
     q_test = cache.vectors(test_keys, channels, band)
     fit_p, candidates = resolve_p(params, min(q_train.shape))
-    model = qpca.fit(q_train, p=fit_p, energy_threshold=params.p_threshold,
-                     band=band, segment_seconds=cache.segment_seconds,
-                     projection=params.projection)
+    model = qpca.fit(q_train, p=fit_p, energy_threshold=params.p_threshold)
     train_feats = qpca.project(qpca.transform(model, q_train), params.projection)
     test_feats = qpca.project(qpca.transform(model, q_test), params.projection)
     return best_over_p(train_feats, cache.labels_pm1(train_keys),
@@ -283,10 +296,9 @@ def train_pipeline(cache: FeatureCache, train_keys, quadruple, band: str,
     channels = tuple(quadruple)
     q_train = cache.vectors(train_keys, channels, band)
     fit_p, _ = resolve_p(params, min(q_train.shape))
-    model = qpca.fit(q_train, p=fit_p, energy_threshold=params.p_threshold,
-                     band=band, quadruple=qpca.ChannelQuadruple(channels),
-                     segment_seconds=cache.segment_seconds,
-                     projection=params.projection)
+    model = replace(qpca.fit(q_train, p=fit_p, energy_threshold=params.p_threshold),
+                    band=band, quadruple=qpca.ChannelQuadruple(channels),
+                    segment_seconds=cache.segment_seconds, projection=params.projection)
     feats = qpca.project(qpca.transform(model, q_train), params.projection)
     svm = svm_fit(feats, cache.labels_pm1(train_keys), regularization_c=params.svm_c)
     return model, svm
@@ -301,16 +313,8 @@ def evaluate_model(model, svm, cache: FeatureCache, keys) -> MetricsResult:
     return metrics(confusion(cache.labels_pm1(keys), pred))
 
 
-def _split_keys(split):
-    """Accept a DatasetSplit or a (train_keys, test_keys) pair."""
-    if hasattr(split, "training"):
-        return ([r.key() for r in split.training], [r.key() for r in split.testing])
-    train_keys, test_keys = split
-    return list(train_keys), list(test_keys)
-
-
-def sweep_parameters(recordings, split, quadruple, band: str, axis: str, values,
-                     base=None) -> list:
+def sweep_parameters(recordings, train_keys, test_keys, quadruple, band: str,
+                     axis: str, values, base=None) -> list:
     """One full train/evaluate cycle per grid value along a single axis
     (``segment_seconds``, ``projection`` or ``p``); failed grid points are
     reported, not raised."""
@@ -337,7 +341,8 @@ def sweep_parameters(recordings, split, quadruple, band: str, axis: str, values,
                     point = params.with_(projection=str(value))
                 else:
                     point = params.with_(p=int(value), p_sweep_limit=None)
-            outcome = evaluate_quadruple(point_cache, split, quadruple, band, point)
+            outcome = evaluate_quadruple(point_cache, train_keys, test_keys, quadruple,
+                                         band, point)
             rows.append({"axis": axis, "value": value, "acc": outcome.acc,
                          "sen": outcome.sen, "spe": outcome.spe,
                          "p_used": outcome.p_used, "error": None})

@@ -36,13 +36,11 @@ class QuaternionMatrix:
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, validate: bool = False):
+    def __init__(self, a: np.ndarray, b: np.ndarray):
         a = np.array(a, dtype=np.complex128, order="C")
         b = np.array(b, dtype=np.complex128, order="C")
         if a.ndim != 2 or a.shape != b.shape:
             raise ShapeError(f"component shapes disagree: {a.shape} vs {b.shape}")
-        if validate and not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ValidationError("non-finite entry in quaternion matrix")
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "a", a)
@@ -51,8 +49,8 @@ class QuaternionMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_components(cls, w, x=None, y=None, z=None, validate: bool = True) -> "QuaternionMatrix":
-        """Build from four real arrays (missing parts default to zero)."""
+    def from_components(cls, w, x=None, y=None, z=None) -> "QuaternionMatrix":
+        """Build from four finite real arrays (missing parts default to zero)."""
         w = np.asarray(w, dtype=np.float64)
         zeros = np.zeros_like(w)
         x = zeros if x is None else np.asarray(x, dtype=np.float64)
@@ -62,11 +60,14 @@ class QuaternionMatrix:
             raise ShapeError("component arrays must share one shape")
         if w.ndim == 1:
             w, x, y, z = (np.atleast_2d(c) for c in (w, x, y, z))
-        return cls(w + 1j * x, y + 1j * z, validate=validate)
+        matrix = cls(w + 1j * x, y + 1j * z)
+        if not (np.isfinite(matrix.a).all() and np.isfinite(matrix.b).all()):
+            raise ValidationError("non-finite entry in quaternion matrix")
+        return matrix
 
     @classmethod
-    def from_real(cls, arr, validate: bool = True) -> "QuaternionMatrix":
-        return cls.from_components(np.asarray(arr, dtype=np.float64), validate=validate)
+    def from_real(cls, arr) -> "QuaternionMatrix":
+        return cls.from_components(arr)
 
     @classmethod
     def from_entries(cls, entries) -> "QuaternionMatrix":
@@ -130,9 +131,6 @@ class QuaternionMatrix:
 
     def columns(self, sel) -> "QuaternionMatrix":
         return QuaternionMatrix(self.a[:, sel], self.b[:, sel])
-
-    def rows_at(self, sel) -> "QuaternionMatrix":
-        return QuaternionMatrix(self.a[sel, :], self.b[sel, :])
 
     # -- algebra ------------------------------------------------------
 

@@ -25,7 +25,7 @@ from .qlinalg import QuaternionMatrix, qsvd, truncate
 
 __all__ = [
     "ChannelQuadruple", "QpcaModel", "PROJECTION_METHODS",
-    "embed", "embed_rows", "fit", "transform", "project",
+    "embed_rows", "select_components", "fit", "transform", "project",
 ]
 
 PROJECTION_METHODS = ("mean", "absolute", "norm", "phase")
@@ -115,35 +115,29 @@ def embed_rows(ch1: np.ndarray, ch2: np.ndarray, ch3: np.ndarray,
                                             np.atleast_2d(ch3), np.atleast_2d(ch4))
 
 
-def embed(features, band: str) -> QuaternionMatrix:
-    """Quaternion row vector from the quadruple's four BandFeatureVectors.
-
-    `features` is the ordered 4-sequence matching the quadruple; all four
-    must carry the requested band and share the segment count.
-    """
-    features = list(features)
-    if len(features) != 4:
-        raise ValidationError(f"need 4 per-channel feature vectors, got {len(features)}")
-    lengths = {len(f.values) for f in features}
-    if len(lengths) != 1:
-        raise ValidationError(f"feature vectors disagree in length: {sorted(lengths)}")
-    bands = {f.band for f in features}
-    if bands != {band}:
-        raise ValidationError(f"feature vectors carry bands {sorted(bands)}, expected {band!r}")
-    return embed_rows(*(f.values for f in features))
+def select_components(eigenvalues: np.ndarray, p: int | None, energy_threshold: float,
+                      m: int, n: int) -> int:
+    """The fixed `p` when given, otherwise the smallest count whose
+    cumulative share of the descending `eigenvalues` reaches
+    `energy_threshold`; at most min(m, n) for m samples of length n."""
+    p_max = min(m, n)
+    if p is None:
+        share = np.cumsum(eigenvalues) / eigenvalues.sum()
+        p = int(np.searchsorted(share, energy_threshold) + 1)
+        p = min(p, p_max)
+    if not 1 <= p <= p_max:
+        raise ParameterError(f"p={p} outside [1, {p_max}] for {m} samples of length {n}")
+    return p
 
 
 def fit(training_vectors, p: int | None = None, energy_threshold: float = 0.90,
-        covariance_scale: float | None = None, band: str | None = None,
-        quadruple: ChannelQuadruple | None = None,
-        segment_seconds: float | None = None,
-        projection: str | None = None) -> QpcaModel:
+        covariance_scale: float | None = None) -> QpcaModel:
     """Fit the quaternion PCA model on m training row vectors.
 
-    The number of components is the fixed `p` when given, otherwise the
-    smallest count whose cumulative eigenvalue share reaches
-    `energy_threshold`.  `covariance_scale` overrides the 1/m normalizer
-    (the extracted subspace is invariant to it).
+    The number of components comes from `select_components`.
+    `covariance_scale` overrides the 1/m normalizer (the extracted subspace
+    is invariant to it).  The model's band, quadruple, segment length and
+    projection are labels for the caller to set.
     """
     if isinstance(training_vectors, QuaternionMatrix):
         q = training_vectors
@@ -164,13 +158,7 @@ def fit(training_vectors, p: int | None = None, energy_threshold: float = 0.90,
     svd = qsvd(cov)
     eigenvalues = svd.singular_values
 
-    p_max = min(m, n_s)
-    if p is None:
-        share = np.cumsum(eigenvalues) / eigenvalues.sum()
-        p = int(np.searchsorted(share, energy_threshold) + 1)
-        p = min(p, p_max)
-    if not 1 <= p <= p_max:
-        raise ParameterError(f"p={p} outside [1, {p_max}] for {m} samples of length {n_s}")
+    p = select_components(eigenvalues, p, energy_threshold, m, n_s)
 
     tie = bool(p < len(eigenvalues)
                and eigenvalues[p - 1] - eigenvalues[p] <= _SPECTRUM_TIE_RTOL * eigenvalues[0])
@@ -178,9 +166,7 @@ def fit(training_vectors, p: int | None = None, energy_threshold: float = 0.90,
         warnings.warn(f"spectrum tie at the p={p} cut; subspace is not unique",
                       RuntimeWarning, stacklevel=2)
     return QpcaModel(mean_vector=mean, basis=truncate(svd, p),
-                     eigenvalues=eigenvalues, p=p, spectrum_tie=tie,
-                     band=band, quadruple=quadruple,
-                     segment_seconds=segment_seconds, projection=projection)
+                     eigenvalues=eigenvalues, p=p, spectrum_tie=tie)
 
 
 def transform(model: QpcaModel, vectors) -> QuaternionMatrix:

@@ -142,7 +142,7 @@ def _run_range(ctx: dict, start: int, stop: int) -> list:
 
 def _run_one(ctx: dict, index: int, perm) -> TrialResult:
     try:
-        outcome = evaluate_quadruple(ctx["cache"], (ctx["train_keys"], ctx["test_keys"]),
+        outcome = evaluate_quadruple(ctx["cache"], ctx["train_keys"], ctx["test_keys"],
                                      perm, ctx["band"], ctx["params"])
         return TrialResult(trial_index=index, permutation=tuple(perm), band=ctx["band"],
                            p_used=outcome.p_used, acc=outcome.acc, sen=outcome.sen,

@@ -20,9 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .dataset import EegRecording
 
 __all__ = [
-    "BandDefinition", "BandFeatureVector", "DEFAULT_BANDS", "BAND_NAMES",
+    "BandDefinition", "DEFAULT_BANDS", "BAND_NAMES",
     "band_by_name", "samples_per_segment", "segment", "relative_band_power",
-    "band_power_matrix", "featurize",
+    "band_power_matrix",
 ]
 
 TOTAL_LOW_HZ = 1.0
@@ -58,20 +58,6 @@ def band_by_name(name: str) -> BandDefinition:
         return _BANDS_BY_NAME[name]
     except KeyError:
         raise ParameterError(f"unknown band {name!r}; expected one of {BAND_NAMES}") from None
-
-
-@dataclass(frozen=True)
-class BandFeatureVector:
-    """Relative band power of one channel in one band, one value per segment."""
-
-    channel: str
-    band: str
-    values: np.ndarray
-    segment_seconds: float
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.values)
 
 
 def samples_per_segment(segment_seconds: float, sampling_rate_hz: float) -> int:
@@ -161,15 +147,3 @@ def band_power_matrix(recording: "EegRecording", segment_seconds: float,
         raise DegenerateDataError(f"{recording.subject_id} s{recording.session_index}: {exc}") from None
     return np.ascontiguousarray(np.moveaxis(fractions, 0, 1))
 
-
-def featurize(recording: "EegRecording", segment_seconds: float,
-              bands=DEFAULT_BANDS) -> list:
-    """One BandFeatureVector per channel x band, channel-major order."""
-    matrix = band_power_matrix(recording, segment_seconds, bands)
-    out = []
-    for ci, channel in enumerate(recording.channel_labels):
-        for bi, band in enumerate(bands):
-            out.append(BandFeatureVector(channel=channel, band=band.name,
-                                         values=matrix[ci, bi].copy(),
-                                         segment_seconds=segment_seconds))
-    return out

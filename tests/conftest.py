@@ -2,7 +2,7 @@
 difference, featurized once per session."""
 import pytest
 
-from qeeg.dataset import SynthSpec, session_split, synthesize_dataset
+from qeeg.dataset import SynthSpec, session_split_keys, synthesize_dataset
 from qeeg.pipeline import FeatureCache
 
 MONTAGE5 = ("F7", "F8", "T7", "T8", "P4")
@@ -19,9 +19,6 @@ def small_dataset():
     return synthesize_dataset(spec, seed=7)
 
 
-@pytest.fixture(scope="session")
-def small_split(small_dataset):
-    return session_split(small_dataset)
 
 
 @pytest.fixture(scope="session")
@@ -30,10 +27,8 @@ def small_cache(small_dataset):
 
 
 @pytest.fixture(scope="session")
-def small_keys(small_split):
-    train = [r.key() for r in small_split.training]
-    test = [r.key() for r in small_split.testing]
-    return train, test
+def small_keys(small_dataset):
+    return session_split_keys(r.key() for r in small_dataset)
 
 
 def synthetic_cache(rng, channels=("A", "B", "C", "D", "E"), n_keys=12,

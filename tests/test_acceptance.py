@@ -16,7 +16,7 @@ from qeeg.classifier import ConfusionCounts, cross_validate, metrics
 from qeeg.baseline import compare
 from qeeg.cli import main as cli_main
 from qeeg.connectivity import interclass_distance, measure_values
-from qeeg.dataset import (EegRecording, SynthSpec, session_split,
+from qeeg.dataset import (EegRecording, SynthSpec, session_split_keys,
                           synthesize_dataset)
 from qeeg.pipeline import FeatureCache, PipelineParams, evaluate_quadruple
 from qeeg.qlinalg import QuaternionMatrix, qsvd
@@ -154,8 +154,8 @@ def test_criterion_4_dimensions():
         for sess in range(1, 7):
             recs.append(EegRecording(f"NS{s}", sess, "NonAD", 128.0, ("Fp1",),
                                      np.full((1, 128), float(sess))))
-    split = session_split(recs)
-    assert len(split.training) == 55 and len(split.testing) == 11
+    train_keys, test_keys = session_split_keys(r.key() for r in recs)
+    assert len(train_keys) == 55 and len(test_keys) == 11
     report(4, "40s x 250Hz -> 10,000 samples; segmentation grid -> "
               f"{expected}; 11x6 sessions -> 55/11 split")
 
@@ -242,9 +242,7 @@ def synthetic8():
     spec = SynthSpec.default(channel_labels=MONTAGE8, alpha_affected=AFFECTED8)
     recordings = synthesize_dataset(spec, seed=SEED)
     cache = FeatureCache.from_recordings(recordings, 1.0)
-    split = session_split(recordings)
-    train_keys = [r.key() for r in split.training]
-    test_keys = [r.key() for r in split.testing]
+    train_keys, test_keys = session_split_keys(cache.keys)
     return cache, train_keys, test_keys
 
 
@@ -276,7 +274,7 @@ def test_criterion_8_end_to_end(synthetic8):
     for a, b, c, d in [r.permutation for r in results[::24 * 7]]:
         for rotated in ((a, d, b, c), (a, c, d, b)):
             row = by_perm[rotated]
-            direct = evaluate_quadruple(cache, (train_keys, test_keys), rotated,
+            direct = evaluate_quadruple(cache, train_keys, test_keys, rotated,
                                         "alpha", params)
             assert row.valid and (row.acc, row.sen, row.spe, row.p_used) == (
                 direct.acc, direct.sen, direct.spe, direct.p_used), rotated
@@ -348,9 +346,7 @@ def test_criterion_10_clinical_dataset():
                    if not p.name.endswith("_manifest.json"))
     recordings = [load_recording(p) for p in paths]
     cache = FeatureCache.from_recordings(recordings, 1.0)
-    split = session_split(recordings)
-    train_keys = [r.key() for r in split.training]
-    test_keys = [r.key() for r in split.testing]
+    train_keys, test_keys = session_split_keys(cache.keys)
     params = PipelineParams(p_sweep_limit=20)
 
     results, summaries = run_search(cache, train_keys, test_keys, "alpha",

@@ -5,11 +5,21 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_cache
-from qeeg.connectivity import (build_tensors, distance_report,
-                               interclass_distance, measure_values)
+from qeeg.connectivity import interclass_distance, measure_connectivity, measure_values
 from qeeg.errors import DegenerateDataError, ParameterError
 from qeeg.qlinalg import QuaternionMatrix
 from qeeg import qpca
+
+
+def alpha_tensors(cache, keys, mode):
+    """The alpha band's tensors by class and its skipped-tuple count."""
+    tensors, report = measure_connectivity(cache, keys, mode, ("alpha",))
+    return tensors["alpha"], report.skipped_by_band["alpha"]
+
+
+def tuple_dist(cache, keys, channels, band):
+    by_class = measure_values(cache, keys, channels, band)
+    return interclass_distance(by_class["NonAD"], by_class["AD"])
 
 
 def test_interclass_distance_examples():
@@ -81,7 +91,7 @@ def test_sign_flip_negates_measures():
 
 def test_build_tensors_counts(small_cache, small_keys):
     train, _ = small_keys
-    tensors, skipped = build_tensors(small_cache, train, "triple", "alpha")
+    tensors, skipped = alpha_tensors(small_cache, train, "triple")
     assert skipped == 0
     assert set(tensors) == {"AD", "NonAD"}
     for t in tensors.values():
@@ -99,9 +109,9 @@ def test_ordered_triple_count_full_montage():
 def test_build_tensors_quadruple_counts():
     rng = np.random.default_rng(4)
     cache = synthetic_cache(rng, channels=("A", "B", "C", "D"), n_keys=10)
-    tensors, skipped = build_tensors(cache, cache.keys, "quadruple", "alpha")
+    tensors, skipped = alpha_tensors(cache, cache.keys, "quadruple")
     assert all(len(t.entries) == 24 for t in tensors.values())
-    triples, _ = build_tensors(cache, cache.keys, "triple", "alpha")
+    triples, _ = alpha_tensors(cache, cache.keys, "triple")
     assert all(len(t.entries) == 24 for t in triples.values())  # 4*3*2
 
 
@@ -110,7 +120,7 @@ def test_reduced_report_matches_every_tuple_measured(small_cache, small_keys, mo
     # the report measures one order per rotation class; measuring every
     # ordered tuple on its own gives the same class means and Dist
     train, _ = small_keys
-    report = distance_report(small_cache, train, mode)
+    _, report = measure_connectivity(small_cache, train, mode)
     tuples = list(permutations(small_cache.channels, size))
     assert report.tuples == tuple(tuples)
     for band in report.bands:
@@ -127,14 +137,37 @@ def test_degenerate_class_skipped_for_each_member():
     rng = np.random.default_rng(6)
     cache = synthetic_cache(rng, constant_channels=("A", "B", "C"))
     # the triples of A, B, C in both rotation directions are degenerate
-    tensors, skipped = build_tensors(cache, cache.keys, "triple", "alpha")
+    tensors, skipped = alpha_tensors(cache, cache.keys, "triple")
     assert skipped == 6
     assert all(len(t.entries) == 60 - 6 for t in tensors.values())
 
 
+def test_report_aligns_bands_that_skip_different_tuples():
+    # A, B and C are constant in alpha only, so alpha skips the six orders
+    # of their triple and the other bands measure them
+    rng = np.random.default_rng(6)
+    cache = synthetic_cache(rng)
+    alpha = cache.bands.index("alpha")
+    for key in cache.keys:
+        cache.values[key][:3, alpha] = 0.25
+    _, report = measure_connectivity(cache, cache.keys, "triple")
+    assert report.skipped_by_band == {"delta": 0, "theta": 0, "alpha": 6, "beta": 0}
+    assert report.tuples == tuple(permutations(cache.channels, 3))
+    obj = report.to_json()
+    abc = set(permutations(("A", "B", "C")))
+    for band in cache.bands:
+        for values in [obj["dist"][band], *obj["class_means"][band].values()]:
+            assert len(values) == 60
+            assert [t for t, v in zip(report.tuples, values) if v is None] == (
+                sorted(abc) if band == "alpha" else [])
+    measured = [d for d in obj["dist"]["alpha"] if d is not None]
+    assert len(measured) == 54
+    assert obj["mean_dist"]["alpha"] == float(np.mean(measured))
+
+
 def test_tensor_json_layout(small_cache, small_keys):
     train, _ = small_keys
-    tensors, _ = build_tensors(small_cache, train, "triple", "alpha")
+    tensors, _ = alpha_tensors(small_cache, train, "triple")
     obj = tensors["AD"].to_json()
     assert obj["mode"] == "triple" and obj["band"] == "alpha" and obj["class"] == "AD"
     assert obj["axis_labels"] == list(small_cache.channels)
@@ -145,11 +178,11 @@ def test_tensor_json_layout(small_cache, small_keys):
 def test_distance_report_alpha_dominates(small_cache, small_keys):
     train, _ = small_keys
     quad = ("F8", "T7", "T8", "P4")
-    report = distance_report(small_cache, train, "quadruple", tuples=[quad])
-    assert report.n_ns + report.n_ad == len(train)
-    alpha = report.mean_dist("alpha")
+    alpha = tuple_dist(small_cache, train, quad, "alpha")
     for band in ("delta", "theta", "beta"):
-        assert alpha > report.mean_dist(band)
+        assert alpha > tuple_dist(small_cache, train, quad, band)
+    _, report = measure_connectivity(small_cache, train, "quadruple")
+    assert report.n_ns + report.n_ad == len(train)
     obj = report.to_json()
     assert obj["mode"] == "quadruple"
     assert set(obj["mean_dist"]) == {"delta", "theta", "alpha", "beta"}
@@ -160,16 +193,14 @@ def test_quadruple_distance_at_least_triple(small_cache, small_keys):
     # distance should not fall below the pure 3-channel measure
     train, _ = small_keys
     quad = ("F8", "T7", "T8", "P4")
-    d4 = distance_report(small_cache, train, "quadruple", bands=("alpha",),
-                         tuples=[quad]).mean_dist("alpha")
-    d3 = distance_report(small_cache, train, "triple", bands=("alpha",),
-                         tuples=[("T7", "T8", "P4")]).mean_dist("alpha")
+    d4 = tuple_dist(small_cache, train, quad, "alpha")
+    d3 = tuple_dist(small_cache, train, ("T7", "T8", "P4"), "alpha")
     assert d4 >= d3 - 1e-9
 
 
 def test_mode_validation(small_cache, small_keys):
     train, _ = small_keys
     with pytest.raises(ParameterError):
-        build_tensors(small_cache, train, "pairs", "alpha")
+        measure_connectivity(small_cache, train, "pairs")
     with pytest.raises(ParameterError):
         measure_values(small_cache, train, ("F8", "T7"), "alpha")

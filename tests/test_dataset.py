@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qeeg.dataset import (BandProfile, EegRecording, SynthSpec,
-                          load_recording, session_split, session_split_keys,
+                          load_recording, session_split_keys,
                           save_recording, synthesize_dataset, STANDARD_MONTAGE_19)
 from qeeg.errors import SplitError, ValidationError
 from qeeg.spectral import band_by_name, relative_band_power, segment
@@ -89,43 +89,39 @@ def test_load_errors(tmp_path):
         load_recording(manifest)
 
 
-def sessions_for(subject, label, n=6):
-    return [EegRecording(subject, s, label, 128.0, ("Fp1",),
-                         np.zeros((1, 128)) + s) for s in range(1, n + 1)]
+def session_keys(subject, n=6):
+    return [(subject, s) for s in range(1, n + 1)]
 
 
 def test_session_split_11_subjects():
-    recs = []
+    keys = []
     for i in range(5):
-        recs += sessions_for(f"AD{i:02d}", "AD")
+        keys += session_keys(f"AD{i:02d}")
     for i in range(6):
-        recs += sessions_for(f"NS{i:02d}", "NonAD")
-    split = session_split(recs)
-    assert len(split.training) == 55 and len(split.testing) == 11
-    assert all(r.session_index <= 5 for r in split.training)
-    assert all(r.session_index == 6 for r in split.testing)
+        keys += session_keys(f"NS{i:02d}")
+    train, test = session_split_keys(keys)
+    assert len(train) == 55 and len(test) == 11
+    assert all(session <= 5 for _, session in train)
+    assert all(session == 6 for _, session in test)
     # partition: disjoint and exhaustive
-    keys = {r.key() for r in split.training} | {r.key() for r in split.testing}
-    assert len(keys) == 66
-    assert len(split.training) + len(split.testing) == len(recs)
+    assert len(set(train) | set(test)) == 66
+    assert len(train) + len(test) == len(keys)
 
 
 def test_session_split_single_subject():
-    split = session_split(sessions_for("A", "AD"))
-    assert len(split.training) == 5 and len(split.testing) == 1
+    train, test = session_split_keys(session_keys("A"))
+    assert len(train) == 5 and len(test) == 1
 
 
 def test_session_split_rejects_wrong_session_count():
     with pytest.raises(SplitError, match="B"):
-        session_split(sessions_for("A", "AD") + sessions_for("B", "AD", n=5))
+        session_split_keys(session_keys("A") + session_keys("B", n=5))
 
 
-def test_session_split_keys_matches_session_split():
-    recs = sessions_for("B", "NonAD") + sessions_for("A", "AD")
-    split = session_split(recs)
-    train, test = session_split_keys(reversed([r.key() for r in recs]))
-    assert train == [r.key() for r in split.training]
-    assert test == [r.key() for r in split.testing] == [("A", 6), ("B", 6)]
+def test_session_split_keys_orders_by_subject_then_session():
+    train, test = session_split_keys(reversed(session_keys("B") + session_keys("A")))
+    assert train == session_keys("A", n=5) + session_keys("B", n=5)
+    assert test == [("A", 6), ("B", 6)]
     with pytest.raises(SplitError, match="B"):
         session_split_keys([("A", s) for s in range(1, 7)] + [("B", 1), ("B", 1)])
 
@@ -151,8 +147,8 @@ def test_synth_default_dimensions():
     assert all(r.n_samples == 10000 for r in recs)
     assert all(r.n_channels == 19 for r in recs)
     assert sum(r.label == "AD" for r in recs) == 30
-    split = session_split(recs)
-    assert len(split.training) == 55 and len(split.testing) == 11
+    train, test = session_split_keys(r.key() for r in recs)
+    assert len(train) == 55 and len(test) == 11
 
 
 def test_synth_pure_alpha_tone_has_alpha_power():

@@ -52,6 +52,29 @@ def test_cache_csv_header_check():
         FeatureCache.from_csv_text("nope\n1,2,3\n", 1.0)
 
 
+@pytest.mark.parametrize("defect", ["unknown label", "disagree on the label",
+                                    "repeats a cell", "band outside", "incomplete"])
+def test_cache_csv_rejects_rows_off_the_grid(small_cache, defect):
+    header, *lines = small_cache.to_csv_text().splitlines()
+    rows = [ln.split(",") for ln in lines]
+    # the first key's rows come first, segments 0..N_s-1 of its first cell leading
+    n_key = len(small_cache.channels) * len(small_cache.bands) * small_cache.n_segments
+    if defect == "unknown label":
+        for row in rows[:n_key]:
+            row[2] = "ad"
+    elif defect == "disagree on the label":
+        rows[0][2] = "NonAD" if rows[0][2] == "AD" else "AD"
+    elif defect == "repeats a cell":
+        rows.append(list(rows[0]))
+    elif defect == "band outside":
+        rows.append(rows[0][:4] + ["gamma"] + rows[0][5:])
+    else:  # segments 0..N_s-2 and N_s in the first cell
+        rows[small_cache.n_segments - 1][5] = str(small_cache.n_segments)
+    text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+    with pytest.raises(ValidationError, match=defect):
+        FeatureCache.from_csv_text(text, small_cache.segment_seconds)
+
+
 def test_params_validation():
     with pytest.raises(ParameterError):
         PipelineParams(projection="median")
@@ -67,7 +90,7 @@ def test_params_validation():
 
 def test_evaluate_quadruple_separates_classes(small_cache, small_keys):
     train, test = small_keys
-    out = evaluate_quadruple(small_cache, (train, test), ("F8", "T7", "T8", "P4"),
+    out = evaluate_quadruple(small_cache, train, test, ("F8", "T7", "T8", "P4"),
                              "alpha", PipelineParams())
     assert out.acc is not None and out.acc >= 75.0
     assert 1 <= out.p_used <= 20
@@ -76,14 +99,14 @@ def test_evaluate_quadruple_separates_classes(small_cache, small_keys):
 
 def test_evaluate_quadruple_fixed_p(small_cache, small_keys):
     train, test = small_keys
-    out = evaluate_quadruple(small_cache, (train, test), ("F8", "T7", "T8", "P4"),
+    out = evaluate_quadruple(small_cache, train, test, ("F8", "T7", "T8", "P4"),
                              "alpha", PipelineParams(p=3, p_sweep_limit=None))
     assert out.p_used == 3
 
 
 def test_evaluate_quadruple_threshold_mode(small_cache, small_keys):
     train, test = small_keys
-    out = evaluate_quadruple(small_cache, (train, test), ("F8", "T7", "T8", "P4"),
+    out = evaluate_quadruple(small_cache, train, test, ("F8", "T7", "T8", "P4"),
                              "alpha", PipelineParams(p=None, p_sweep_limit=None,
                                                      p_threshold=0.9))
     assert out.p_used >= 1
@@ -105,8 +128,8 @@ def test_deterministic_evaluation(small_cache, small_keys):
     train, test = small_keys
     params = PipelineParams()
     quad = ("F7", "T8", "P4", "F8")
-    a = evaluate_quadruple(small_cache, (train, test), quad, "alpha", params)
-    b = evaluate_quadruple(small_cache, (train, test), quad, "alpha", params)
+    a = evaluate_quadruple(small_cache, train, test, quad, "alpha", params)
+    b = evaluate_quadruple(small_cache, train, test, quad, "alpha", params)
     assert (a.acc, a.sen, a.spe, a.p_used) == (b.acc, b.sen, b.spe, b.p_used)
 
 
@@ -120,7 +143,7 @@ def test_lockstep_sweep_matches_fit_per_prefix(small_cache, small_keys, limit):
         q_train = small_cache.vectors(train, quad, "alpha")
         q_test = small_cache.vectors(test, quad, "alpha")
         fit_p, candidates = resolve_p(PipelineParams(p_sweep_limit=limit), min(q_train.shape))
-        model = qpca.fit(q_train, p=fit_p, band="alpha")
+        model = qpca.fit(q_train, p=fit_p)
         train_feats = qpca.project(qpca.transform(model, q_train), "mean")
         test_feats = qpca.project(qpca.transform(model, q_test), "mean")
 
@@ -141,8 +164,8 @@ def test_lockstep_sweep_matches_fit_per_prefix(small_cache, small_keys, limit):
         assert out.result == best[0]
 
 
-def test_sweep_segment_axis(small_dataset, small_split):
-    rows = sweep_parameters(small_dataset, small_split, ("F8", "T7", "T8", "P4"),
+def test_sweep_segment_axis(small_dataset, small_keys):
+    rows = sweep_parameters(small_dataset, *small_keys, ("F8", "T7", "T8", "P4"),
                             "alpha", "segment_seconds", [0.5, 1.0, 2.5],
                             base=PipelineParams(p_sweep_limit=5))
     assert len(rows) == 3
@@ -150,8 +173,8 @@ def test_sweep_segment_axis(small_dataset, small_split):
     assert all(r["acc"] is not None for r in rows)
 
 
-def test_sweep_projection_axis(small_dataset, small_split):
-    rows = sweep_parameters(small_dataset, small_split, ("F8", "T7", "T8", "P4"),
+def test_sweep_projection_axis(small_dataset, small_keys):
+    rows = sweep_parameters(small_dataset, *small_keys, ("F8", "T7", "T8", "P4"),
                             "alpha", "projection",
                             ["mean", "absolute", "norm", "phase"],
                             base=PipelineParams(p_sweep_limit=5))
@@ -159,26 +182,26 @@ def test_sweep_projection_axis(small_dataset, small_split):
     assert all(r["error"] is None for r in rows)
 
 
-def test_sweep_p_axis(small_dataset, small_split):
-    rows = sweep_parameters(small_dataset, small_split, ("F8", "T7", "T8", "P4"),
+def test_sweep_p_axis(small_dataset, small_keys):
+    rows = sweep_parameters(small_dataset, *small_keys, ("F8", "T7", "T8", "P4"),
                             "alpha", "p", [1, 2, 3, 4])
     assert [r["p_used"] for r in rows] == [1, 2, 3, 4]
 
 
-def test_sweep_bad_point_is_reported_not_raised(small_dataset, small_split):
-    rows = sweep_parameters(small_dataset, small_split, ("F8", "T7", "T8", "P4"),
+def test_sweep_bad_point_is_reported_not_raised(small_dataset, small_keys):
+    rows = sweep_parameters(small_dataset, *small_keys, ("F8", "T7", "T8", "P4"),
                             "alpha", "segment_seconds", [1.0, 0.3141],
                             base=PipelineParams(p_sweep_limit=5))
     assert rows[0]["error"] is None
     assert rows[1]["error"] is not None and "ParameterError" in rows[1]["error"]
 
 
-def test_sweep_rejects_empty_grid(small_dataset, small_split):
+def test_sweep_rejects_empty_grid(small_dataset, small_keys):
     with pytest.raises(ParameterError):
-        sweep_parameters(small_dataset, small_split, ("F8", "T7", "T8", "P4"),
+        sweep_parameters(small_dataset, *small_keys, ("F8", "T7", "T8", "P4"),
                          "alpha", "p", [])
     with pytest.raises(ParameterError):
-        sweep_parameters(small_dataset, small_split, ("F8", "T7", "T8", "P4"),
+        sweep_parameters(small_dataset, *small_keys, ("F8", "T7", "T8", "P4"),
                          "alpha", "bogus", [1])
 
 

@@ -1,19 +1,13 @@
 """Quaternion PCA tests: embedding, fit/transform consistency, projections,
 and the classical-PCA reduction oracle for real-embedded data."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qeeg.errors import DegenerateDataError, ParameterError, ShapeError, ValidationError
 from qeeg.qlinalg import QuaternionMatrix
-from qeeg.qpca import (ChannelQuadruple, QpcaModel, embed, embed_rows, fit,
-                       project, transform)
-from qeeg.spectral import BandFeatureVector
-
-
-def feature_vec(channel, values, band="alpha"):
-    return BandFeatureVector(channel=channel, band=band,
-                             values=np.asarray(values, dtype=float),
-                             segment_seconds=1.0)
+from qeeg.qpca import ChannelQuadruple, QpcaModel, embed_rows, fit, project, transform
 
 
 def rand_training(rng, m, n):
@@ -32,7 +26,7 @@ def test_quadruple_validation():
 
 def test_embed_constant_quarter():
     vals = np.full(5, 0.25)
-    q = embed([feature_vec(c, vals) for c in "ABCD"], "alpha")
+    q = embed_rows(vals, vals, vals, vals)
     assert q.shape == (1, 5)
     for n in range(5):
         e = q[0, n]
@@ -40,28 +34,22 @@ def test_embed_constant_quarter():
 
 
 def test_embed_first_channel_goes_to_scalar_part():
-    q = embed([feature_vec("A", np.ones(4)),
-               feature_vec("B", np.zeros(4)),
-               feature_vec("C", np.zeros(4)),
-               feature_vec("D", np.zeros(4))], "alpha")
+    q = embed_rows(np.ones(4), np.zeros(4), np.zeros(4), np.zeros(4))
     assert np.allclose(q.w, 1.0)
     assert np.allclose(q.x, 0.0) and np.allclose(q.y, 0.0) and np.allclose(q.z, 0.0)
 
 
 def test_embed_order_sensitive():
     rng = np.random.default_rng(0)
-    vecs = [feature_vec(c, rng.uniform(0, 1, 6)) for c in "ABCD"]
-    straight = embed(vecs, "alpha")
-    swapped = embed([vecs[1], vecs[0], vecs[2], vecs[3]], "alpha")
+    vecs = [rng.uniform(0, 1, 6) for _ in "ABCD"]
+    straight = embed_rows(*vecs)
+    swapped = embed_rows(vecs[1], vecs[0], vecs[2], vecs[3])
     assert (straight - swapped).frobenius_norm() > 1e-9
 
 
 def test_embed_validation():
-    with pytest.raises(ValidationError, match="length"):
-        embed([feature_vec("A", np.ones(4)), feature_vec("B", np.ones(5)),
-               feature_vec("C", np.ones(4)), feature_vec("D", np.ones(4))], "alpha")
-    with pytest.raises(ValidationError, match="band"):
-        embed([feature_vec(c, np.ones(4), band="beta") for c in "ABCD"], "alpha")
+    with pytest.raises(ShapeError, match="shape"):
+        embed_rows(np.ones(4), np.ones(5), np.ones(4), np.ones(4))
 
 
 def test_fit_paper_dimensions():
@@ -225,9 +213,9 @@ def test_phase_range():
 
 def test_model_json_roundtrip():
     rng = np.random.default_rng(14)
-    model = fit(rand_training(rng, 10, 6), p=3, band="alpha",
-                quadruple=ChannelQuadruple(("F8", "T7", "T8", "P4")),
-                segment_seconds=1.0, projection="mean")
+    model = replace(fit(rand_training(rng, 10, 6), p=3), band="alpha",
+                    quadruple=ChannelQuadruple(("F8", "T7", "T8", "P4")),
+                    segment_seconds=1.0, projection="mean")
     back = QpcaModel.from_json(model.to_json())
     assert back.p == model.p and back.band == "alpha"
     assert back.quadruple == model.quadruple
@@ -245,11 +233,3 @@ def test_spectrum_tie_flag():
     with pytest.warns(RuntimeWarning, match="spectrum tie"):
         model = fit(q, p=1)
     assert model.spectrum_tie
-
-
-def test_embed_rows_matches_embed():
-    rng = np.random.default_rng(15)
-    arrays = rng.uniform(0, 1, (4, 7))
-    via_embed = embed([feature_vec(c, arrays[i]) for i, c in enumerate("ABCD")], "alpha")
-    via_rows = embed_rows(*arrays)
-    assert (via_embed - via_rows).frobenius_norm() == 0.0

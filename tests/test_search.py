@@ -76,7 +76,7 @@ def test_search_rows_match_direct_evaluation(small_cache, small_keys, search_res
     params = PipelineParams(p_sweep_limit=5)
     results, _ = search_results
     for r in results:
-        direct = evaluate_quadruple(small_cache, (train, test), r.permutation,
+        direct = evaluate_quadruple(small_cache, train, test, r.permutation,
                                     "alpha", params)
         assert r.valid
         assert (r.acc, r.sen, r.spe, r.p_used) == (direct.acc, direct.sen, direct.spe,
@@ -90,9 +90,9 @@ def test_search_evaluates_one_order_per_rotation_class(small_cache, small_keys,
     calls = []
     evaluate = qeeg.search.evaluate_quadruple
 
-    def counted(cache, split, quadruple, band, params):
+    def counted(cache, train_keys, test_keys, quadruple, band, params):
         calls.append(tuple(quadruple))
-        return evaluate(cache, split, quadruple, band, params)
+        return evaluate(cache, train_keys, test_keys, quadruple, band, params)
 
     monkeypatch.setattr(qeeg.search, "evaluate_quadruple", counted)
     train, test = small_keys

@@ -10,7 +10,7 @@ import pytest
 from qeeg.dataset import EegRecording
 from qeeg.errors import DegenerateDataError, ParameterError
 from qeeg.spectral import (BAND_NAMES, DEFAULT_BANDS, _periodogram,
-                           band_by_name, band_power_matrix, featurize,
+                           band_by_name, band_power_matrix,
                            relative_band_power, samples_per_segment, segment)
 
 
@@ -64,9 +64,9 @@ def test_pure_alpha_tone():
 
 def test_pure_delta_tone_featurize():
     rec = make_recording(tone(2.0, seconds=10.0), fs=250.0)
-    vectors = {v.band: v for v in featurize(rec, 1.0)}
-    assert np.all(vectors["delta"].values >= 0.95)
-    assert np.all(vectors["alpha"].values <= 0.05)
+    matrix = band_power_matrix(rec, 1.0)
+    assert np.all(matrix[0, BAND_NAMES.index("delta")] >= 0.95)
+    assert np.all(matrix[0, BAND_NAMES.index("alpha")] <= 0.05)
 
 
 def test_zero_segment_is_degenerate():
@@ -122,15 +122,13 @@ def test_featurize_shapes_and_symmetry():
     base = rng.standard_normal(2500)
     rec = make_recording(np.vstack([base, base, rng.standard_normal(2500)]), fs=250.0,
                          labels=("A", "B", "C"))
-    vectors = featurize(rec, 1.0)
-    assert len(vectors) == 3 * 4
-    assert all(v.n_segments == 10 for v in vectors)
-    by_key = {(v.channel, v.band): v.values for v in vectors}
-    for band in BAND_NAMES:
-        assert np.array_equal(by_key[("A", band)], by_key[("B", band)])
+    matrix = band_power_matrix(rec, 1.0)
+    assert matrix.shape == (3, 4, 10)
+    for bi in range(len(BAND_NAMES)):
+        assert np.array_equal(matrix[0, bi], matrix[1, bi])
     # per-segment partition of unity across the four bands
-    for channel in ("A", "B", "C"):
-        total = sum(by_key[(channel, band)] for band in BAND_NAMES)
+    for ci in range(3):
+        total = sum(matrix[ci, bi] for bi in range(len(BAND_NAMES)))
         assert np.allclose(total, 1.0, atol=1e-9)
 
 
@@ -138,10 +136,9 @@ def test_featurize_full_19_channel_montage():
     rng = np.random.default_rng(6)
     labels = tuple(f"C{i}" for i in range(19))
     rec = make_recording(rng.standard_normal((19, 10000)), fs=250.0, labels=labels)
-    vectors = featurize(rec, 1.0)
-    assert len(vectors) == 19 * 4
-    assert all(len(v.values) == 40 for v in vectors)
-    assert all(0.0 <= v.values.min() and v.values.max() <= 1.0 for v in vectors)
+    matrix = band_power_matrix(rec, 1.0)
+    assert matrix.shape == (19, 4, 40)
+    assert 0.0 <= matrix.min() and matrix.max() <= 1.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 25, 64, 125, 250, 256, 501, 2500])
