@@ -9,7 +9,7 @@ from .classifier import (ConfusionCounts, LinearSvmModel, cross_validate,
 from .dataset import (EegRecording, SynthSpec, load_recording, save_recording,
                       session_split_keys, synthesize_dataset)
 from .pipeline import FeatureCache, PipelineParams
-from .qlinalg import QSvdResult, QuaternionMatrix, qsvd, truncate
+from .qlinalg import QSvdResult, QuaternionMatrix, qeigh, qsvd, truncate
 from .qpca import ChannelQuadruple, QpcaModel
 from .quaternion import Quaternion
 from .spectral import BandDefinition, DEFAULT_BANDS, band_power_matrix

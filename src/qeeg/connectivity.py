@@ -19,10 +19,11 @@ Rotating the three imaginary channels, (w, a, b, c) -> (w, c, a, b) or
 phi(q) = u q conj(u) with u = (1 + i + j + k) / 2, to every embedded row;
 a pure quaternion stays pure.  phi is multiplicative, fixes the reals,
 commutes with conjugation and keeps the modulus, so the covariance of the
-rotated rows is phi(C) = phi(U) S phi(U)^H, its QSVD keeps the eigenvalues
-and the positive-real largest-entry convention, and each sample's
-first-component feature becomes phi of the original one, whose mean
-projection (w + x + y + z) / 4 is the same.  The class means and Dist of
+rotated rows is phi(C) = phi(U) L phi(U)^H, its eigendecomposition
+(`qlinalg.qeigh`) keeps the eigenvalues L and the positive-real
+largest-entry convention, and each sample's first-component feature
+becomes phi of the original one, whose mean projection (w + x + y + z) / 4
+is the same.  The class means and Dist of
 the first order in enumeration order are therefore reported for all three,
 and a degenerate class is skipped once per member.  In floating point the
 orders agree to rounding (about 1e-15); where the cut falls inside a tied

@@ -172,6 +172,8 @@ class FeatureCache:
         header = "subject_id,session_index,label,channel,band,segment_index,value"
         if not lines or lines[0] != header:
             raise ValidationError("feature cache header mismatch")
+        if len(lines) == 1:
+            raise ValidationError("feature cache has no rows: no recordings to featurize")
         raw: dict = {}
         labels: dict = {}
         channels: list = []

@@ -1,4 +1,5 @@
-"""Dense quaternion matrices and their singular value decomposition.
+"""Dense quaternion matrices, their singular value decomposition and the
+eigendecomposition of Hermitian positive semidefinite ones.
 
 A quaternion matrix Q = W + Xi + Yj + Zk is stored as the complex pair
 (A, B) with A = W + Xi and B = Y + Zi, so that Q = A + Bj.  All products
@@ -15,6 +16,12 @@ antilinear map J[p; q] = [-conj(q); conj(p)] (J^2 = -1).  Restoration is
 done per cluster of near-equal singular values (clusters split where the
 relative gap exceeds 1e-6), which keeps the procedure stable for exactly
 repeated singular values.
+
+A Hermitian positive semidefinite matrix (a QPCA covariance) needs less:
+its adjoint is Hermitian with eigenvalues in equal pairs (Zhang, "Quaternions
+and matrices of quaternions", Linear Algebra Appl. 1997), and its SVD is its
+eigendecomposition, so `qeigh` takes one `np.linalg.eigh` of the adjoint and
+restores columns only for tied eigenvalues.
 """
 
 from __future__ import annotations
@@ -26,9 +33,10 @@ import numpy as np
 from .errors import ParameterError, ShapeError, ValidationError
 from .quaternion import Quaternion
 
-__all__ = ["QuaternionMatrix", "QSvdResult", "qsvd", "truncate"]
+__all__ = ["QuaternionMatrix", "QSvdResult", "qsvd", "qeigh", "truncate"]
 
 _CLUSTER_RTOL = 1e-6  # relative gap below which singular values are treated as tied
+_HERMITIAN_RTOL = 1e-10  # qeigh: largest ||C - C^H|| / ||C|| and -lambda_min / lambda_max
 
 
 class QuaternionMatrix:
@@ -367,6 +375,57 @@ def qsvd(mat: QuaternionMatrix) -> QSvdResult:
 
     u_full, v_full = _apply_phase_convention(u_full, v_full, k)
     return QSvdResult(u=u_full, singular_values=sigma, v=v_full)
+
+
+def qeigh(mat: QuaternionMatrix) -> QSvdResult:
+    """Eigendecomposition of a Hermitian positive semidefinite quaternion
+    matrix, returned as the SVD it is: u = v, and the eigenvalues, in
+    descending order, as `singular_values`.
+
+    One `np.linalg.eigh` of the complex adjoint gives every eigenvalue
+    twice; every second one of the descending list is kept, and negatives
+    of rounding size are clamped to 0.  An eigenvalue apart from its
+    neighbours (the clusters of `qsvd`) has a J-invariant plane of adjoint
+    eigenvectors, any unit vector [p; q] of which is the quaternion column
+    p - conj(q) j up to a unit quaternion factor, which the phase
+    convention of `qsvd` then fixes.  Only a tied cluster is restored with
+    `_restore_cluster`.  Raises ValidationError for non-finite entries, a
+    non-square or non-Hermitian matrix (relative residual above 1e-10) and
+    an eigenvalue below -1e-10 times the largest.
+    """
+    if not (np.isfinite(mat.a).all() and np.isfinite(mat.b).all()):
+        raise ValidationError("non-finite entry in quaternion matrix")
+    m, n = mat.shape
+    if m != n:
+        raise ValidationError(f"qeigh needs a square matrix, got {m}x{n}")
+    if n < 1:
+        raise ParameterError("matrix must be at least 1x1, got 0x0")
+    # C^H = conj(A)^T - B^T j, so C - C^H has components A - conj(A)^T, B + B^T
+    residual = np.sqrt(np.sum(np.abs(mat.a - np.conj(mat.a).T) ** 2
+                              + np.abs(mat.b + mat.b.T) ** 2))
+    if residual > _HERMITIAN_RTOL * mat.frobenius_norm():
+        raise ValidationError(
+            f"matrix is not Hermitian: ||C - C^H|| = {residual:.3g}, "
+            f"||C|| = {mat.frobenius_norm():.3g}")
+
+    evals, evecs = np.linalg.eigh(mat.adjoint())
+    evals = evals[::-1]
+    evecs = evecs[:, ::-1]
+    lam = evals[0::2].copy()
+    if lam[-1] < -_HERMITIAN_RTOL * lam[0]:
+        raise ValidationError(
+            f"matrix is not positive semidefinite: eigenvalue {lam[-1]:.3g} "
+            f"with largest {lam[0]:.3g}")
+    lam[lam <= 0.0] = 0.0
+
+    vecs = evecs[:, 0::2].copy()
+    for start, stop in _cluster_bounds(lam, _CLUSTER_RTOL * lam[0]):
+        if stop - start > 1:
+            picked = _restore_cluster(evecs[:, 2 * start: 2 * stop], stop - start)
+            vecs[:, start:stop] = np.stack(picked, axis=1)
+    u = QuaternionMatrix(vecs[:n], -np.conj(vecs[n:]))
+    u = u.right_scale_columns(*_unit_phases(u))
+    return QSvdResult(u=u, singular_values=lam, v=u)
 
 
 def _unit_phases(mat: QuaternionMatrix):

@@ -3,11 +3,12 @@
 Pipeline: four per-channel relative band-power vectors are embedded as one
 full quaternion row vector (channel 1 -> scalar part, channels 2-4 -> i, j,
 k), the training rows are centered by their mean, the covariance
-C = (1/m) Q~^H Q~ (an N_s x N_s quaternion Hermitian matrix) is decomposed
-by quaternion SVD, and features are projections onto the leading
-eigenvector columns.  Channel order is semantically significant: quaternion
-multiplication does not commute, so permuted quadruples are different
-inputs.
+C = (1/m) Q~^H Q~ (an N_s x N_s quaternion Hermitian positive semidefinite
+matrix) is eigendecomposed by `qlinalg.qeigh` (its SVD, with the phase
+convention of `qlinalg.qsvd`), and features are projections onto the
+leading eigenvector columns.  Channel order is semantically significant:
+quaternion multiplication does not commute, so permuted quadruples are
+different inputs.
 
 A quaternion feature is collapsed to a real scalar by one of four
 projection rules (mean, absolute, norm, phase).
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError, ShapeError, ValidationError
-from .qlinalg import QuaternionMatrix, qsvd, truncate
+from .qlinalg import QuaternionMatrix, qeigh, truncate
 
 __all__ = [
     "ChannelQuadruple", "QpcaModel", "PROJECTION_METHODS",
@@ -155,7 +156,7 @@ def fit(training_vectors, p: int | None = None, energy_threshold: float = 0.90,
     if scale <= 0:
         raise ParameterError(f"covariance scale must be positive, got {scale}")
     cov = (centered.H @ centered).scale(scale)
-    svd = qsvd(cov)
+    svd = qeigh(cov)
     eigenvalues = svd.singular_values
 
     p = select_components(eigenvalues, p, energy_threshold, m, n_s)

@@ -12,14 +12,14 @@ automorphism i -> j -> k -> i of the quaternions, phi(q) = u q conj(u) with
 u = (1 + i + j + k) / 2: it is real-linear and multiplicative, fixes the
 reals, commutes with conjugation and keeps the modulus.  Rotating channels
 2 -> 3 -> 4, (w, a, b, c) -> (w, c, a, b), applies phi to every embedded
-row, so it maps the row mean, the covariance C and its QSVD: C = U S U^H
-gives phi(C) = phi(U) S phi(U)^H, with the same eigenvalues (hence the same
-p, fixed, swept or by energy share), and phi(U) keeps the convention that a
-column's largest-norm entry is a positive real (Le Bihan & Mars, "Singular
-value decomposition of quaternion matrices", Signal Processing 2004).  The
-features become phi of the features, whose x, y, z parts only rotate, and
-the mean, absolute, norm and phase projections are symmetric in them: every
-SVM of the rotated order sees the same real features.  So the first order
+row, so it maps the row mean, the covariance C and its eigendecomposition
+(`qlinalg.qeigh`): C = U L U^H gives phi(C) = phi(U) L phi(U)^H, with the
+same eigenvalues L (hence the same p, fixed, swept or by energy share), and
+phi(U) keeps the convention that a column's largest-norm entry is a
+positive real (Le Bihan & Mars, "Singular value decomposition of
+quaternion matrices", Signal Processing 2004).  The features become phi of
+the features, whose x, y, z parts only rotate, and the mean, absolute, norm
+and phase projections are symmetric in them: every SVM of the rotated order sees the same real features.  So the first order
 of each rotation class (`pipeline.rotation_class_key`) is evaluated and its
 row is copied to the other two, each with its own trial index and
 permutation.  In floating point the three orders agree to rounding

@@ -278,6 +278,8 @@ BAD_COMMANDS = {  # argv, and the content of the file named {file}
                         CACHE_HEADER + "S01,1,AD,F7,alpha,0.5\n"),
     "cache_broken_header": (["connectivity", "--data", "{data}", "--mode", "triple",
                              "--cache", "{file}"], "# config: {broken\n" + CACHE_HEADER),
+    "cache_without_rows": (["connectivity", "--data", "{data}", "--mode", "triple",
+                            "--cache", "{file}"], CACHE_HEADER),
     "train_without_channels": (["train", "--data", "{data}", "--band", "alpha"], None),
     "spec_not_json": (["synth", "--spec", "{file}"], "not json\n"),
     "spec_without_subjects": (["synth", "--spec", "{file}"], "{}\n"),

@@ -52,6 +52,12 @@ def test_cache_csv_header_check():
         FeatureCache.from_csv_text("nope\n1,2,3\n", 1.0)
 
 
+def test_cache_csv_without_rows_is_rejected(small_cache):
+    header = small_cache.to_csv_text().splitlines()[0]
+    with pytest.raises(ValidationError, match="no rows"):
+        FeatureCache.from_csv_text(f"# config: {{}}\n{header}\n", 1.0)
+
+
 @pytest.mark.parametrize("defect", ["unknown label", "disagree on the label",
                                     "repeats a cell", "band outside", "incomplete"])
 def test_cache_csv_rejects_rows_off_the_grid(small_cache, defect):

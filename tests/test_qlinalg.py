@@ -1,9 +1,10 @@
-"""Quaternion matrix and QSVD tests against the complex-adjoint oracle."""
+"""Quaternion matrix and QSVD tests against the complex-adjoint oracle, and
+the Hermitian eigendecomposition against QSVD."""
 import numpy as np
 import pytest
 
 from qeeg.errors import ParameterError, ShapeError, ValidationError
-from qeeg.qlinalg import QuaternionMatrix, qsvd, truncate
+from qeeg.qlinalg import QuaternionMatrix, qeigh, qsvd, truncate
 from qeeg.quaternion import Quaternion
 
 
@@ -257,3 +258,82 @@ def test_truncate_40x40_to_19_columns():
     res = qsvd(a)
     u19 = truncate(res, 19)
     assert u19.shape == (40, 19)
+
+
+def random_covariance(rng, m, n):
+    rows = rand_qmat(rng, m, n)
+    centered = rows.subtract_row(rows.row_mean())
+    return (centered.H @ centered).scale(1.0 / m)
+
+
+def test_qeigh_matches_qsvd_on_random_covariances():
+    # the covariances of qpca.fit: m centered rows of length n, rank
+    # deficient for m <= n (every fifth has m = 2, rank 1)
+    rng = np.random.default_rng(13)
+    for trial in range(200):
+        n = 40 if trial % 10 == 0 else int(rng.integers(1, 9))
+        m = 2 if trial % 5 == 0 else int(rng.integers(2, 2 * n + 3))
+        c = random_covariance(rng, m, n)
+        ref, res = qsvd(c), qeigh(c)
+        lam = res.singular_values
+        lmax = ref.singular_values[0]
+        assert np.all(np.diff(lam) <= 0) and np.all(lam >= 0)
+        assert np.max(np.abs(lam - ref.singular_values)) <= 1e-12 * lmax
+        assert res.v is res.u
+        assert unitarity_defect(res.u) <= 1e-10
+        scaled = QuaternionMatrix(res.u.a * lam[None, :], res.u.b * lam[None, :])
+        assert (c @ res.u - scaled).frobenius_norm() <= 1e-10 * max(1.0, lmax)
+        # a column whose eigenvalue is apart from its neighbours is unique
+        # up to its phase, which both fix the same way; its rounding grows
+        # as the gap shrinks
+        gaps = np.full(n, lmax)
+        steps = -np.diff(lam)
+        gaps[:-1] = np.minimum(gaps[:-1], steps)
+        gaps[1:] = np.minimum(gaps[1:], steps)
+        for i in np.flatnonzero(gaps > 1e-6 * lmax):
+            diff = res.u.columns([i]) - ref.u.columns([i])
+            assert diff.frobenius_norm() <= 1e-12 * lmax / gaps[i]
+
+
+def test_qeigh_tied_eigenvalues_span_the_qsvd_subspace():
+    # C = Q diag(3, 3, 1, ...) Q^H: the tied pair's basis is not unique,
+    # but its projector is
+    rng = np.random.default_rng(14)
+    q = qsvd(rand_qmat(rng, 6, 6)).u
+    d = np.array([3.0, 3.0, 1.0, 0.5, 0.25, 0.125])
+    c = QuaternionMatrix(q.a * d[None, :], q.b * d[None, :]) @ q.H
+    c = (c + c.H).scale(0.5)
+    ref, res = qsvd(c), qeigh(c)
+    assert np.allclose(res.singular_values, d, rtol=0, atol=1e-12)
+    assert unitarity_defect(res.u) <= 1e-12
+    tied, ref_tied = res.u.columns(slice(0, 2)), ref.u.columns(slice(0, 2))
+    assert (tied @ tied.H - ref_tied @ ref_tied.H).frobenius_norm() <= 1e-12
+    for i in range(2, 6):
+        assert (res.u.columns([i]) - ref.u.columns([i])).frobenius_norm() <= 1e-12
+
+
+def _with_entry(mat, i, j, a=None, b=None):
+    ca, cb = mat.a.copy(), mat.b.copy()
+    if a is not None:
+        ca[i, j] = a
+    if b is not None:
+        cb[i, j] = b
+    return QuaternionMatrix(ca, cb)
+
+
+QEIGH_REJECTS = {
+    "non-finite": lambda c: _with_entry(c, 0, 0, a=np.nan),
+    "square": lambda c: c.columns(slice(0, 3)),
+    "not Hermitian": lambda c: _with_entry(c, 0, 1, b=c.b[0, 1] + 1e-3),
+    # less the mean eigenvalue, the smallest is negative
+    "positive semidefinite": lambda c: c - QuaternionMatrix.identity(c.cols).scale(
+        np.trace(c.w) / c.cols),
+}
+
+
+@pytest.mark.parametrize("defect", QEIGH_REJECTS)
+def test_qeigh_rejects(defect):
+    c = random_covariance(np.random.default_rng(15), 8, 4)
+    qeigh(c)
+    with pytest.raises(ValidationError, match=defect):
+        qeigh(QEIGH_REJECTS[defect](c))
