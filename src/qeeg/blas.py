@@ -2,9 +2,9 @@
 
 qeeg multiplies and decomposes matrices of at most a few tens of rows, too
 small for BLAS threads to pay: extra threads only add CPU time, and their
-count changes how some products round.  The `qeeg` command and the search
-pool workers therefore run BLAS on one thread.  Where numpy bundles no
-OpenBLAS (a build against another BLAS), nothing is changed.
+count changes how some products round.  The `qeeg` command and the pool
+workers (`qeeg.pool`) therefore run BLAS on one thread.  Where numpy
+bundles no OpenBLAS (a build against another BLAS), nothing is changed.
 """
 
 from __future__ import annotations

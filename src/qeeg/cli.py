@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .dataset import (SynthSpec, load_recording, save_recording, session_split_k
 from .errors import ConfigError, QeegError
 from .pipeline import (FeatureCache, PipelineParams, evaluate_model, resolve_p,
                        sweep_parameters, train_pipeline)
+from .pool import usable_cores, worker_pool
 from .qpca import ChannelQuadruple, QpcaModel
 from .spectral import BAND_NAMES
 
@@ -86,10 +86,21 @@ def _load_recordings(data_dir: str) -> list:
                    if not p.name.endswith("_manifest.json"))
     if not paths:
         raise ConfigError(f"no recording manifests in {root}")
-    return [load_recording(p) for p in paths]
+    workers = min(usable_cores(), len(paths))
+    if workers == 1:
+        return [load_recording(p) for p in paths]
+    # results, and the first error, come back in sorted manifest order
+    with worker_pool(workers) as pool:
+        return list(pool.map(_load_recording_task, paths))
 
 
-def _load_cache(args) -> FeatureCache:
+def _load_recording_task(path: Path):
+    """Pool task: only the path is pickled, and the worker calls whatever
+    this module's `load_recording` is bound to, wrapped or not."""
+    return load_recording(path)
+
+
+def _load_cache(args, segment_seconds: float) -> FeatureCache:
     """The --cache file when given, else the featurized --data recordings."""
     if args.cache:
         path = Path(args.cache)
@@ -102,12 +113,12 @@ def _load_cache(args) -> FeatureCache:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"--cache {path}: unreadable config header: {exc}") from None
             cached_ts = cached_config.get("segment_seconds")
-            if cached_ts is not None and cached_ts != args.segment_seconds:
+            if cached_ts is not None and cached_ts != segment_seconds:
                 raise ConfigError(
                     f"cache was built with --segment-seconds {cached_ts}, "
-                    f"requested {args.segment_seconds}")
-        return FeatureCache.from_csv_text(text, args.segment_seconds)
-    return FeatureCache.from_recordings(_load_recordings(args.data), args.segment_seconds)
+                    f"requested {segment_seconds}")
+        return FeatureCache.from_csv_text(text, segment_seconds)
+    return FeatureCache.from_recordings(_load_recordings(args.data), segment_seconds)
 
 
 def _params_from_args(args, default_sweep: int | None) -> PipelineParams:
@@ -213,7 +224,7 @@ def cmd_features(args) -> int:
 def cmd_train(args) -> int:
     quadruple = _require_quadruple(args)
     params = _params_from_args(args, default_sweep=None)
-    cache = _load_cache(args)
+    cache = _load_cache(args, args.segment_seconds)
     train_keys, _ = session_split_keys(cache.keys)
     model, svm = train_pipeline(cache, train_keys, quadruple, args.band, params)
     train_metrics = evaluate_model(model, svm, cache, train_keys)
@@ -260,8 +271,7 @@ def cmd_eval(args) -> int:
     if args.channels and tuple(args.channels) != tuple(model.quadruple):
         raise ConfigError(f"--channels {args.channels} do not match model quadruple "
                           f"{tuple(model.quadruple)}")
-    cache = FeatureCache.from_recordings(_load_recordings(args.data),
-                                         model.segment_seconds)
+    cache = _load_cache(args, model.segment_seconds)
     train_keys, test_keys = session_split_keys(cache.keys)
     keys = {"testing": test_keys, "training": train_keys,
             "all": train_keys + test_keys}[args.split]
@@ -300,7 +310,7 @@ def _search_summary_csv(summaries) -> str:
 
 def cmd_search(args) -> int:
     params = _params_from_args(args, default_sweep=20)
-    cache = _load_cache(args)
+    cache = _load_cache(args, args.segment_seconds)
     train_keys, test_keys = session_split_keys(cache.keys)
     results, summaries = search.run_search(cache, train_keys, test_keys,
                                            args.band, params,
@@ -320,7 +330,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_connectivity(args) -> int:
-    cache = _load_cache(args)
+    cache = _load_cache(args, args.segment_seconds)
     train_keys, test_keys = session_split_keys(cache.keys)
     keys = train_keys + test_keys if args.include_testing else train_keys
     bands = [args.band] if args.band else list(BAND_NAMES)
@@ -345,7 +355,7 @@ def cmd_connectivity(args) -> int:
 def cmd_crossval(args) -> int:
     quadruple = _require_quadruple(args)
     params = _params_from_args(args, default_sweep=None)
-    cache = _load_cache(args)
+    cache = _load_cache(args, args.segment_seconds)
     keys = list(cache.keys)
     vectors = cache.vectors(keys, quadruple, args.band)
     fit_p, _ = resolve_p(params, min(vectors.shape))
@@ -400,7 +410,7 @@ def cmd_sweep(args) -> int:
 def cmd_baseline(args) -> int:
     quadruple = _require_quadruple(args)
     params = _params_from_args(args, default_sweep=20)
-    cache = _load_cache(args)
+    cache = _load_cache(args, args.segment_seconds)
     train_keys, test_keys = session_split_keys(cache.keys)
     result = baseline.compare(cache, train_keys, test_keys, quadruple,
                               args.band, params)
@@ -467,6 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="testing")
     p.add_argument("--band", choices=BAND_NAMES, default=None)
     p.add_argument("--channels", type=_channels_arg, default=None)
+    p.add_argument("--cache", default=None,
+                   help="feature cache CSV built with the model's --segment-seconds")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
@@ -474,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     _add_shared(p, with_channels=False)
-    p.add_argument("--parallelism", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--parallelism", type=int, default=usable_cores())
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("connectivity", help="connectivity tensors and distances")

@@ -33,6 +33,8 @@ STANDARD_MONTAGE_NAME = "10-20"
 LABELS = ("AD", "NonAD")
 
 _MIN_SAMPLING_RATE = 60.0  # Nyquist margin for the 1-30 Hz analysis range
+# ASCII characters besides "\n" at which str.splitlines breaks a line
+_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,6 +82,11 @@ class EegRecording:
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
+    def __setstate__(self, state):
+        # an unpickled array is writeable; keep the samples read-only
+        state["samples"].flags.writeable = False
+        self.__dict__.update(state)
+
     @property
     def n_channels(self) -> int:
         return len(self.channel_labels)
@@ -104,7 +111,13 @@ class EegRecording:
 
 
 def load_recording(manifest_path) -> EegRecording:
-    """Load and validate one recording from its JSON manifest."""
+    """Load and validate one recording from its JSON manifest.
+
+    The data file's body is parsed first.  Only when the parse fails, or its
+    shape is not one row per "\n"-terminated line by one column per header
+    channel, are the lines scanned one by one, for the error that names the
+    first bad line: a ragged row (a blank line, a missing or an extra
+    field), a header without samples, or else the bad value."""
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise ValidationError(f"manifest not found: {manifest_path}")
@@ -128,20 +141,32 @@ def load_recording(manifest_path) -> EegRecording:
     if not header or any(not h for h in header):
         raise ValidationError(f"malformed header in {data_path}: blank channel name")
     n_channels = len(header)
-    rows = body.splitlines()
-    for i, row in enumerate(rows):
-        n_values = row.count(",") + 1 if row else 0
-        if n_values != n_channels:
-            raise ValidationError(
-                f"ragged row {i + 1} in {data_path}: {n_values} values, "
-                f"expected {n_channels}")
-    if not rows:
-        raise ValidationError(f"{data_path} contains a header but no samples")
-    try:
-        samples = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                             dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise ValidationError(f"bad value in {data_path}: {exc}") from None
+    samples = None
+    # The parse skips blank lines and strips some whitespace, so it is taken
+    # as it is only for a body whose lines all end in "\n" and parse to one
+    # row each.  Anything else takes the line scan.
+    if (body.endswith("\n") and not body.isspace() and body.isascii()
+            and not any(brk in body for brk in _OTHER_LINE_BREAKS)):
+        try:
+            parsed = _parse_body(body)
+            if parsed.shape == (body.count("\n"), n_channels):
+                samples = parsed
+        except ValueError:
+            pass
+    if samples is None:
+        rows = body.splitlines()
+        for i, row in enumerate(rows):
+            n_values = row.count(",") + 1 if row else 0
+            if n_values != n_channels:
+                raise ValidationError(
+                    f"ragged row {i + 1} in {data_path}: {n_values} values, "
+                    f"expected {n_channels}")
+        if not rows:
+            raise ValidationError(f"{data_path} contains a header but no samples")
+        try:
+            samples = _parse_body(body)
+        except ValueError as exc:
+            raise ValidationError(f"bad value in {data_path}: {exc}") from None
 
     return EegRecording(
         subject_id=str(manifest["subject_id"]),
@@ -152,6 +177,11 @@ def load_recording(manifest_path) -> EegRecording:
         samples=samples.T,
         montage=manifest.get("montage"),
     )
+
+
+def _parse_body(body: str) -> np.ndarray:
+    return np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                      dtype=np.float64, ndmin=2)
 
 
 def save_recording(recording: EegRecording, directory, stem: str | None = None) -> Path:

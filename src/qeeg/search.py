@@ -32,16 +32,15 @@ where before each order's result depended on rounding.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, islice, permutations
 
 import numpy as np
 
-from .blas import set_blas_threads
 from .errors import ParameterError
 from .pipeline import (FeatureCache, PipelineParams, evaluate_quadruple,
                        rotation_class_key)
+from .pool import worker_pool
 
 __all__ = [
     "TrialResult", "CombinationSummary", "LOBE_GROUPS", "lobe_of",
@@ -111,11 +110,9 @@ _CTX: dict | None = None
 
 
 def _init_worker(ctx: dict) -> None:
-    """Pool initializer: the search context, and one BLAS thread per worker,
-    since the workers already share the cores among themselves."""
+    """Pool initializer: the search context."""
     global _CTX
     _CTX = ctx
-    set_blas_threads(1)
 
 
 def _run_chunk(bounds) -> list:
@@ -170,8 +167,7 @@ def run_search(cache: FeatureCache, train_keys, test_keys, band: str,
         results = [row for start, stop in bounds
                    for row in _run_range(ctx, start, stop)]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism, initializer=_init_worker,
-                                 initargs=(ctx,)) as pool:
+        with worker_pool(parallelism, _init_worker, (ctx,)) as pool:
             results = [row for rows in pool.map(_run_chunk, bounds)
                        for row in rows]
     results.sort(key=lambda r: r.trial_index)

@@ -11,6 +11,7 @@ import pytest
 
 import qeeg
 
+from qeeg import cli, pool
 from qeeg.cli import main
 from qeeg.dataset import SynthSpec
 
@@ -194,6 +195,8 @@ def test_features_cache_reuse_matches_direct(data_dir, tmp_path, monkeypatch):
     commands = {
         "train": ["train", "--data", str(data_dir), "--band", "alpha",
                   "--channels", "F8,T7,T8,P4", "--pcs", "2"],
+        "eval": ["eval", "--model", str(tmp_path / "train_direct" / "model.json"),
+                 "--data", str(data_dir), "--split", "all"],
         "search": ["search", "--data", str(data_dir), "--band", "alpha",
                    "--p-sweep-limit", "3", "--parallelism", "1"],
         "connectivity": ["connectivity", "--data", str(data_dir),
@@ -205,13 +208,110 @@ def test_features_cache_reuse_matches_direct(data_dir, tmp_path, monkeypatch):
     def no_read(path):
         raise AssertionError(f"recording {path} read despite --cache")
 
+    # one loader process, so that the replaced name is the one that runs
+    monkeypatch.setattr("qeeg.cli.usable_cores", lambda: 1)
     monkeypatch.setattr("qeeg.cli.load_recording", no_read)
+    for name, base in commands.items():
+        with pytest.raises(AssertionError, match="read despite --cache"):
+            main(base + ["--out", str(tmp_path / f"{name}_read")])
     for name, base in commands.items():
         cached = tmp_path / f"{name}_cached"
         assert main(base + ["--cache", str(fdir / "features.csv"),
                             "--out", str(cached)]) == 0
         direct = _payloads(tmp_path / f"{name}_direct")
         assert direct and _payloads(cached) == direct
+
+
+def test_eval_rejects_cache_of_another_segment_length(data_dir, tmp_path, capsys):
+    assert main(["features", "--data", str(data_dir), "--segment-seconds", "2.0",
+                 "--out", str(tmp_path / "feat")]) == 0
+    assert main(["train", "--data", str(data_dir), "--band", "alpha",
+                 "--channels", "F8,T7,T8,P4", "--pcs", "2",
+                 "--out", str(tmp_path / "model")]) == 0
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(tmp_path / "model" / "model.json"),
+               "--data", str(data_dir), "--cache", str(tmp_path / "feat" / "features.csv"),
+               "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    assert ("cache was built with --segment-seconds 2.0, requested 1.0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "eval").exists()
+
+
+def _pool_sizes(monkeypatch, cores):
+    """Give the loader `cores` usable cores and record its pool sizes."""
+    sizes = []
+
+    def recorded(workers, *args):
+        sizes.append(workers)
+        return pool.worker_pool(workers, *args)
+
+    monkeypatch.setattr(cli, "usable_cores", lambda: cores)
+    monkeypatch.setattr(cli, "worker_pool", recorded)
+    return sizes
+
+
+def test_loader_outputs_do_not_depend_on_workers(data_dir, tmp_path, monkeypatch):
+    outputs = {}
+    for cores in (1, 2):
+        sizes = _pool_sizes(monkeypatch, cores)
+        out = tmp_path / f"w{cores}"
+        assert main(["features", "--data", str(data_dir), "--out", str(out / "feat")]) == 0
+        assert main(["search", "--data", str(data_dir), "--band", "alpha",
+                     "--p-sweep-limit", "3", "--parallelism", "1",
+                     "--out", str(out / "search")]) == 0
+        assert sizes == ([] if cores == 1 else [2, 2])
+        outputs[cores] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                          if p.is_file() and not p.name.endswith("_manifest.json")}
+    assert len(outputs[1]) == 4 and outputs[1] == outputs[2]
+
+
+def test_loader_pool_is_no_larger_than_the_manifest_count(data_dir, monkeypatch):
+    from contextlib import contextmanager
+
+    sizes = []
+
+    @contextmanager
+    def in_process(workers, *args):  # no process is started
+        sizes.append(workers)
+        yield type("Serial", (), {"map": staticmethod(map)})
+
+    monkeypatch.setattr(cli, "usable_cores", lambda: 64)
+    monkeypatch.setattr(cli, "worker_pool", in_process)
+    assert len(cli._load_recordings(str(data_dir))) == 24
+    assert sizes == [24]
+
+
+def test_loader_reports_the_first_bad_recording(data_dir, tmp_path, monkeypatch, capsys):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    csvs = sorted(data.glob("*.csv"))
+    csvs[3].write_text(csvs[3].read_text() + "1.0\n")
+    csvs[-1].write_text(csvs[-1].read_text().split("\n", 1)[0] + "\n")
+    errors = {}
+    for cores in (1, 2):
+        _pool_sizes(monkeypatch, cores)
+        rc = main(["features", "--data", str(data), "--out", str(tmp_path / "feat")])
+        errors[cores] = (rc, capsys.readouterr().err)
+    assert errors[1] == errors[2]
+    assert errors[1] == (1, f"error: ragged row 2001 in {csvs[3]}: 1 values, expected 5\n")
+    assert not (tmp_path / "feat").exists()
+
+
+def test_recordings_from_the_pool_are_read_only(data_dir, monkeypatch):
+    sizes = _pool_sizes(monkeypatch, 2)
+    recordings = cli._load_recordings(str(data_dir))
+    assert sizes == [2] and len(recordings) == 24
+    assert not any(r.samples.flags.writeable for r in recordings)
+
+
+def test_search_parallelism_defaults_to_usable_cores(monkeypatch):
+    monkeypatch.setattr(cli, "usable_cores", lambda: 3)
+    args = cli.build_parser().parse_args(["search", "--data", "d", "--band", "alpha",
+                                          "--out", "o"])
+    assert args.parallelism == 3
 
 
 def test_connectivity_measures_each_tuple_once(data_dir, tmp_path, monkeypatch):

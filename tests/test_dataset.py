@@ -1,5 +1,7 @@
 """Recording I/O, split convention, and synthetic dataset tests."""
 import json
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +89,52 @@ def test_load_errors(tmp_path):
     (tmp_path / "r.csv").write_text("")
     with pytest.raises(ValidationError, match="malformed header"):
         load_recording(manifest)
+
+
+def test_unpickled_recording_stays_read_only():
+    rec = small_recording()
+    back = pickle.loads(pickle.dumps(rec))
+    assert np.array_equal(back.samples, rec.samples) and back.key() == rec.key()
+    with pytest.raises(ValueError):
+        back.samples[0, 0] = 1.0
+
+
+BAD_BODIES = {
+    "blank_row": ("1.0,2.0\n\n3.0,4.0\n", "ragged row 2 in {csv}: 0 values, expected 2"),
+    "extra_field": ("1.0,2.0\n3.0,4.0,5.0\n", "ragged row 2 in {csv}: 3 values, expected 2"),
+    "missing_field": ("1.0,2.0\n3.0\n", "ragged row 2 in {csv}: 1 values, expected 2"),
+    "blank_last_row": ("1.0,2.0\n\n", "ragged row 2 in {csv}: 0 values, expected 2"),
+    "blank_row_unterminated": ("1.0,2.0\n\n3.0,4.0",
+                               "ragged row 2 in {csv}: 0 values, expected 2"),
+    # the parse strips a trailing vertical tab or line separator, the line
+    # scan breaks the line there
+    "vertical_tab": ("1.0,2.0\x0b\n3.0,4.0\n", "ragged row 2 in {csv}: 0 values, expected 2"),
+    "line_separator": ("1.0,2.0\u2028\n3.0,4.0\n",
+                       "ragged row 2 in {csv}: 0 values, expected 2"),
+    "only_blank_rows": ("\n\n", "ragged row 1 in {csv}: 0 values, expected 2"),
+    "no_samples": ("", "{csv} contains a header but no samples"),
+    "bad_value": ("1.0,2.0\n3.0,x\n", "bad value in {csv}: could not convert string 'x'"),
+}
+
+
+@pytest.mark.parametrize("body,message", BAD_BODIES.values(), ids=BAD_BODIES)
+def test_load_names_the_bad_row(tmp_path, body, message):
+    manifest = save_recording(small_recording(), tmp_path, stem="r")
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text("Fp1,Fp2\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no parser warning on the way to the error
+        with pytest.raises(ValidationError) as info:
+            load_recording(manifest)
+    assert str(info.value).startswith(message.format(csv=csv_path))
+
+
+@pytest.mark.parametrize("body", ["1.0,2.0\n3.0,4.0", "1.0,2.0\r\n3.0,4.0\r\n",
+                                  " 1.0, 2.0\n3.0,4.0\n"])
+def test_load_accepts_bodies_the_line_scan_accepts(tmp_path, body):
+    manifest = save_recording(small_recording(), tmp_path, stem="r")
+    (tmp_path / "r.csv").write_text("Fp1,Fp2\n" + body)
+    assert np.array_equal(load_recording(manifest).samples, [[1.0, 3.0], [2.0, 4.0]])
 
 
 def session_keys(subject, n=6):

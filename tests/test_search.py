@@ -1,6 +1,5 @@
 """Channel-subset enumeration and exhaustive search tests."""
 import ctypes
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from conftest import synthetic_cache
 from qeeg.errors import ParameterError
 from qeeg.pipeline import PipelineParams, evaluate_quadruple, rotation_class_key
+from qeeg.pool import worker_pool
 from qeeg.search import (_init_worker, count_tuples, enumerate_channel_tuples,
                          lobe_of, rank, run_search)
 
@@ -157,8 +157,7 @@ def test_pool_workers_use_one_blas_thread():
     before = _openblas_threads()
     if before is None:
         pytest.skip("numpy does not bundle a scipy-openblas library")
-    with ProcessPoolExecutor(max_workers=1, initializer=_init_worker,
-                             initargs=({},)) as pool:
+    with worker_pool(1, _init_worker, ({},)) as pool:
         assert pool.submit(_openblas_threads).result(timeout=60) == 1
     assert _openblas_threads() == before  # the calling process keeps its setting
 
