@@ -122,12 +122,18 @@ def _load_cache(args, segment_seconds: float) -> FeatureCache:
 
 
 def _params_from_args(args, default_sweep: int | None) -> PipelineParams:
+    """The trial parameters of the command line.  A command without a
+    default sweep (`default_sweep=None`) fits one model, at one p, and
+    rejects --p-sweep-limit."""
     given = [name for name, val in (("--pcs", args.pcs),
                                     ("--pc-threshold", args.pc_threshold),
                                     ("--p-sweep-limit", args.p_sweep_limit))
              if val is not None]
     if len(given) > 1:
         raise ConfigError(f"flags {given} are mutually exclusive")
+    if default_sweep is None and args.p_sweep_limit is not None:
+        raise ConfigError(f"{args.command} fits one model and sweeps no p: fix it "
+                          f"with --pcs N (or --pc-threshold T), not --p-sweep-limit")
     p = args.pcs
     threshold = args.pc_threshold if args.pc_threshold is not None else 0.90
     if args.pcs is not None or args.pc_threshold is not None:

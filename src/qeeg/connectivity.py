@@ -12,24 +12,11 @@ means are comparable and the interclass distance
 is well defined.  Tensors map every ordered distinct channel tuple to the
 class-mean measure; degenerate tuples are recorded as missing entries.
 
-`measure_values` runs once per rotation class (`pipeline.rotation_class_key`):
-1 of every 3 orders, for quadruples and pure-quaternion triples alike.
-Rotating the three imaginary channels, (w, a, b, c) -> (w, c, a, b) or
-(a, b, c) -> (c, a, b), applies the automorphism phi: i -> j -> k -> i,
-phi(q) = u q conj(u) with u = (1 + i + j + k) / 2, to every embedded row;
-a pure quaternion stays pure.  phi is multiplicative, fixes the reals,
-commutes with conjugation and keeps the modulus, so the covariance of the
-rotated rows is phi(C) = phi(U) L phi(U)^H, its eigendecomposition
-(`qlinalg.qeigh`) keeps the eigenvalues L and the positive-real
-largest-entry convention, and each sample's first-component feature
-becomes phi of the original one, whose mean projection (w + x + y + z) / 4
-is the same.  The class means and Dist of
-the first order in enumeration order are therefore reported for all three,
-and a degenerate class is skipped once per member.  In floating point the
-orders agree to rounding (about 1e-15); where the cut falls inside a tied
-or zero eigenvalue cluster the first component is not unique, and the
-representative's value is reported for the whole class, where before each
-order's value depended on rounding.
+`measure_values` runs once per rotation class and band: on the first
+member of each class (`pipeline.rotation_classes`, which gives the symmetry
+argument), 1 of every 3 orders for quadruples and pure-quaternion triples
+alike.  Its class means and Dist are reported for all three members, and a
+degenerate class is skipped once per member.
 """
 
 from __future__ import annotations
@@ -40,8 +27,8 @@ from itertools import permutations
 import numpy as np
 
 from . import qpca
-from .errors import DegenerateDataError, ParameterError
-from .pipeline import FeatureCache, rotation_class_key
+from .errors import DegenerateDataError, ParameterError, ValidationError
+from .pipeline import FeatureCache, rotation_classes
 from .spectral import BAND_NAMES
 
 __all__ = ["ConnectivityTensor", "DistanceReport", "measure_values",
@@ -95,33 +82,14 @@ class ConnectivityTensor:
         }
 
 
-def _measure_tuples(cache: FeatureCache, keys, tuples, band: str):
-    """Class means and distances per ordered tuple, measured once per
-    rotation class; the members of a degenerate class are skipped."""
-    rows = []
-    skipped = 0
-    measured: dict = {}  # rotation class key -> (means, dist), None if degenerate
-    for channels in tuples:
-        key = rotation_class_key(channels)
-        if key not in measured:
-            measured[key] = _class_row(cache, keys, channels, band)
-        if measured[key] is None:
-            skipped += 1
-            continue
-        rows.append((channels, *measured[key]))
-    return rows, skipped
-
-
 def _class_row(cache: FeatureCache, keys, channels, band: str):
-    """(class means, Dist or None) of one tuple; None when it is degenerate."""
+    """(class means, Dist) of one tuple; None when it is degenerate."""
     try:
         by_class = measure_values(cache, keys, channels, band)
     except DegenerateDataError:
         return None
     means = {label: float(vals.mean()) for label, vals in by_class.items()}
-    dist = (interclass_distance(by_class["NonAD"], by_class["AD"])
-            if len(by_class) == 2 else None)
-    return means, dist
+    return means, interclass_distance(by_class["NonAD"], by_class["AD"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,25 +137,31 @@ def measure_connectivity(cache: FeatureCache, keys, mode: str, bands=BAND_NAMES)
     size = _MODE_SIZES.get(mode)
     if size is None:
         raise ParameterError(f"mode must be 'triple' or 'quadruple', got {mode!r}")
-    tuples = list(permutations(cache.channels, size))
     keys = list(keys)
     counts = {"NonAD": 0, "AD": 0}
     for key in keys:
         counts[cache.labels[key]] += 1
-    tensors_by_band, usable_by_band, skipped_by_band = {}, {}, {}
+    if not all(counts.values()):
+        raise ValidationError(f"connectivity needs recordings of both classes, got "
+                              f"{counts['NonAD']} NonAD and {counts['AD']} AD")
+    tuples = list(permutations(cache.channels, size))
+    firsts, classes = rotation_classes(tuples)
+    tensors_by_band, rows_by_band, skipped_by_band = {}, {}, {}
     for band in bands:
-        rows, skipped_by_band[band] = _measure_tuples(cache, keys, tuples, band)
-        labels = sorted({label for _, means, _ in rows for label in means})
+        measured = [_class_row(cache, keys, channels, band) for channels in firsts]
+        rows = {chs: measured[c] for chs, c in zip(tuples, classes)
+                if measured[c] is not None}
+        skipped_by_band[band] = len(tuples) - len(rows)
+        labels = sorted(counts) if rows else []
         tensors_by_band[band] = {label: ConnectivityTensor(
             mode=mode, band=band, class_label=label, axis_labels=cache.channels,
-            entries={chs: means[label] for chs, means, _ in rows if label in means})
+            entries={chs: means[label] for chs, (means, _) in rows.items()})
             for label in labels}
-        usable_by_band[band] = {chs: (means, dist) for chs, means, dist in rows
-                                if dist is not None}
-    kept = tuple(chs for chs in tuples if any(chs in usable_by_band[b] for b in bands))
+        rows_by_band[band] = rows
+    kept = tuple(chs for chs in tuples if any(chs in rows_by_band[b] for b in bands))
     dist_by_band, means_by_band = {}, {}
-    for band, usable in usable_by_band.items():
-        cells = [usable.get(chs) for chs in kept]
+    for band, rows in rows_by_band.items():
+        cells = [rows.get(chs) for chs in kept]
         dist_by_band[band] = [None if cell is None else cell[1] for cell in cells]
         means_by_band[band] = {
             label: [None if cell is None else cell[0][label] for cell in cells]

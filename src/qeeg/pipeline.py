@@ -22,8 +22,8 @@ from .errors import ParameterError, ValidationError
 from .spectral import BAND_NAMES, band_power_matrix
 
 __all__ = ["PipelineParams", "FeatureCache", "TrialOutcome", "rotation_class_key",
-           "resolve_p", "best_over_p", "evaluate_quadruple", "train_pipeline",
-           "evaluate_model", "sweep_parameters"]
+           "rotation_classes", "resolve_p", "best_over_p", "evaluate_quadruple",
+           "train_pipeline", "evaluate_model", "sweep_parameters"]
 
 POSITIVE_LABEL = "AD"  # a true positive is a correctly detected AD sample
 
@@ -225,9 +225,46 @@ def rotation_class_key(channels) -> tuple:
     channels, the i -> j -> k automorphism of the quaternions: (w, a, b, c),
     (w, c, a, b) and (w, b, c, a) for a full quaternion, (a, b, c), (c, a, b)
     and (b, c, a) for a pure one.  Callers evaluate the first member of each
-    class in their enumeration order and report its result for the others."""
+    class in their enumeration order and report its result for the others
+    (`rotation_classes`)."""
     head, tail = tuple(channels[:-3]), tuple(channels[-3:])
     return head + min(tail[i:] + tail[:i] for i in range(3))
+
+
+def rotation_classes(tuples):
+    """(firsts, classes): the first member of each rotation class of the
+    channel tuples, in their order, and the class number of every tuple,
+    an index into `firsts`.
+
+    The search and the connectivity measures evaluate `firsts` alone and
+    report each result for every member of its class.  This is exact up to
+    rounding.  Let phi be the automorphism i -> j -> k -> i of the
+    quaternions, phi(q) = u q conj(u) with u = (1 + i + j + k) / 2: it is
+    real-linear and multiplicative, fixes the reals, commutes with
+    conjugation and keeps the modulus.  Rotating the last three channels,
+    (w, a, b, c) -> (w, c, a, b) or (a, b, c) -> (c, a, b), applies phi to
+    every embedded row (a pure quaternion stays pure), so it maps the row
+    mean, the covariance C and its eigendecomposition (`qlinalg.qeigh`):
+    C = U L U^H gives phi(C) = phi(U) L phi(U)^H, with the same eigenvalues
+    L (hence the same p, fixed, swept or by energy share), and phi(U) keeps
+    the convention that a column's largest-norm entry is a positive real
+    (Le Bihan & Mars, "Singular value decomposition of quaternion
+    matrices", Signal Processing 2004).  The features become phi of the
+    features, whose x, y, z parts only rotate, and the mean, absolute, norm
+    and phase projections are symmetric in them: every SVM and every class
+    mean of a rotated order sees the same real values.  In floating point
+    the orders agree to rounding (features to about 1e-14), which decides
+    nothing except where the p cut falls inside a tied or zero eigenvalue
+    cluster: there the subspace is not unique, and the first member's
+    result is reported for the whole class."""
+    firsts, classes, number = [], [], {}
+    for channels in tuples:
+        key = rotation_class_key(channels)
+        if key not in number:
+            number[key] = len(firsts)
+            firsts.append(tuple(channels))
+        classes.append(number[key])
+    return firsts, classes
 
 
 @dataclass(frozen=True)

@@ -131,14 +131,13 @@ def select_components(eigenvalues: np.ndarray, p: int | None, energy_threshold: 
     return p
 
 
-def fit(training_vectors, p: int | None = None, energy_threshold: float = 0.90,
-        covariance_scale: float | None = None) -> QpcaModel:
+def fit(training_vectors, p: int | None = None,
+        energy_threshold: float = 0.90) -> QpcaModel:
     """Fit the quaternion PCA model on m training row vectors.
 
-    The number of components comes from `select_components`.
-    `covariance_scale` overrides the 1/m normalizer (the extracted subspace
-    is invariant to it).  The model's band, quadruple, segment length and
-    projection are labels for the caller to set.
+    The number of components comes from `select_components`.  The model's
+    band, quadruple, segment length and projection are labels for the
+    caller to set.
     """
     if isinstance(training_vectors, QuaternionMatrix):
         q = training_vectors
@@ -152,10 +151,7 @@ def fit(training_vectors, p: int | None = None, energy_threshold: float = 0.90,
     centered = q.subtract_row(mean)
     if centered.frobenius_norm() <= 1e-12 * max(1.0, q.frobenius_norm()):
         raise DegenerateDataError("degenerate spectrum: all training vectors identical")
-    scale = covariance_scale if covariance_scale is not None else 1.0 / m
-    if scale <= 0:
-        raise ParameterError(f"covariance scale must be positive, got {scale}")
-    cov = (centered.H @ centered).scale(scale)
+    cov = (centered.H @ centered).scale(1.0 / m)
     svd = qeigh(cov)
     eigenvalues = svd.singular_values
 

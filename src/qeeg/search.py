@@ -3,43 +3,26 @@ order, one classification trial each.
 
 Trials are indexed by deterministic enumeration position (combinations in
 lexicographic montage order, the 24 orderings of each in lexicographic
-order) and aggregated by index, so result files are identical for any
-parallelism degree.  Per-trial failures become marked-invalid rows; they
-never abort the search.
+order), so result files are identical for any parallelism degree.
+Per-trial failures become marked-invalid rows; they never abort the search.
 
-Only 8 of a combination's 24 orders are evaluated.  Let phi be the
-automorphism i -> j -> k -> i of the quaternions, phi(q) = u q conj(u) with
-u = (1 + i + j + k) / 2: it is real-linear and multiplicative, fixes the
-reals, commutes with conjugation and keeps the modulus.  Rotating channels
-2 -> 3 -> 4, (w, a, b, c) -> (w, c, a, b), applies phi to every embedded
-row, so it maps the row mean, the covariance C and its eigendecomposition
-(`qlinalg.qeigh`): C = U L U^H gives phi(C) = phi(U) L phi(U)^H, with the
-same eigenvalues L (hence the same p, fixed, swept or by energy share), and
-phi(U) keeps the convention that a column's largest-norm entry is a
-positive real (Le Bihan & Mars, "Singular value decomposition of
-quaternion matrices", Signal Processing 2004).  The features become phi of
-the features, whose x, y, z parts only rotate, and the mean, absolute, norm
-and phase projections are symmetric in them: every SVM of the rotated order sees the same real features.  So the first order
-of each rotation class (`pipeline.rotation_class_key`) is evaluated and its
-row is copied to the other two, each with its own trial index and
-permutation.  In floating point the three orders agree to rounding
-(features to about 1e-14), which decides nothing except where the p cut
-falls inside a tied or zero eigenvalue cluster: there the subspace is not
-unique, and the representative's result is reported for the whole class,
-where before each order's result depended on rounding.
+Only 8 of a combination's 24 orders are evaluated: the first member of each
+i -> j -> k rotation class (`pipeline.rotation_classes`, which gives the
+symmetry argument).  Its row is copied to the other two members, each with
+its own trial index and permutation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .errors import ParameterError
 from .pipeline import (FeatureCache, PipelineParams, evaluate_quadruple,
-                       rotation_class_key)
+                       rotation_classes)
 from .pool import worker_pool
 
 __all__ = [
@@ -115,37 +98,22 @@ def _init_worker(ctx: dict) -> None:
     _CTX = ctx
 
 
-def _run_chunk(bounds) -> list:
-    """Pool task: the trials of one chunk, in the worker's context."""
-    return _run_range(_CTX, *bounds)
+def _run_class(perm) -> TrialResult:
+    """Pool task: the row of one rotation class, in the worker's context."""
+    return _run_one(_CTX, perm)
 
 
-def _run_range(ctx: dict, start: int, stop: int) -> list:
-    """Trials start..stop-1; one evaluation per rotation class, whose
-    members all lie in the range (its bounds are multiples of 24)."""
-    tuples = islice(enumerate_channel_tuples(ctx["montage"], 4, ordered=True),
-                    start, stop)
-    rows = []
-    first: dict = {}  # rotation class key -> the representative's row
-    for index, perm in enumerate(tuples, start=start):
-        key = rotation_class_key(perm)
-        if key in first:
-            row = replace(first[key], trial_index=index, permutation=tuple(perm))
-        else:
-            row = first[key] = _run_one(ctx, index, perm)
-        rows.append(row)
-    return rows
-
-
-def _run_one(ctx: dict, index: int, perm) -> TrialResult:
+def _run_one(ctx: dict, perm) -> TrialResult:
+    """The row of `perm`'s rotation class; `run_search` gives each member
+    its own trial index and permutation."""
     try:
         outcome = evaluate_quadruple(ctx["cache"], ctx["train_keys"], ctx["test_keys"],
                                      perm, ctx["band"], ctx["params"])
-        return TrialResult(trial_index=index, permutation=tuple(perm), band=ctx["band"],
+        return TrialResult(trial_index=-1, permutation=perm, band=ctx["band"],
                            p_used=outcome.p_used, acc=outcome.acc, sen=outcome.sen,
                            spe=outcome.spe, valid=True)
     except Exception as exc:  # noqa: BLE001 - per-trial failures become rows
-        return TrialResult(trial_index=index, permutation=tuple(perm), band=ctx["band"],
+        return TrialResult(trial_index=-1, permutation=perm, band=ctx["band"],
                            p_used=None, acc=None, sen=None, spe=None, valid=False,
                            error=f"{type(exc).__name__}: {exc}")
 
@@ -155,22 +123,19 @@ def run_search(cache: FeatureCache, train_keys, test_keys, band: str,
     """All ordered 4-channel trials; returns (trial results, summaries)."""
     if parallelism < 1:
         raise ParameterError(f"parallelism must be >= 1, got {parallelism}")
-    total = count_tuples(len(cache.channels), 4, ordered=True)
+    perms = list(enumerate_channel_tuples(cache.channels, 4, ordered=True))
+    firsts, classes = rotation_classes(perms)
     ctx = {"cache": cache, "train_keys": list(train_keys),
-           "test_keys": list(test_keys), "band": band, "params": params,
-           "montage": cache.channels}
-
-    # whole combinations per chunk, so that no rotation class straddles two
-    chunk = 24 * math.ceil(total / 24 / (parallelism * 8))
-    bounds = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+           "test_keys": list(test_keys), "band": band, "params": params}
     if parallelism == 1:
-        results = [row for start, stop in bounds
-                   for row in _run_range(ctx, start, stop)]
+        rows = [_run_one(ctx, perm) for perm in firsts]
     else:
+        # eight chunks per worker balance the load at one pickle per chunk
+        chunk = math.ceil(len(firsts) / (8 * parallelism))
         with worker_pool(parallelism, _init_worker, (ctx,)) as pool:
-            results = [row for rows in pool.map(_run_chunk, bounds)
-                       for row in rows]
-    results.sort(key=lambda r: r.trial_index)
+            rows = list(pool.map(_run_class, firsts, chunksize=chunk))
+    results = [replace(rows[c], trial_index=i, permutation=perm)
+               for i, (perm, c) in enumerate(zip(perms, classes))]
     return results, summarize(results, cache.channels)
 
 

@@ -176,7 +176,7 @@ def test_criterion_5_qpca_consistency():
     assert trace_gap <= 1e-9
     assert np.all(model.eigenvalues >= 0)
 
-    rescaled = qpca_fit(q, p=3, covariance_scale=3.14)
+    rescaled = qpca_fit(q.scale(3.14), p=3)  # covariance times 3.14**2
     proj_a = model.basis @ model.basis.H
     proj_b = rescaled.basis @ rescaled.basis.H
     proj_gap = (proj_a - proj_b).frobenius_norm()

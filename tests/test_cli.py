@@ -364,6 +364,11 @@ def test_seed_is_a_crossval_flag(data_dir, tmp_path, capsys, command):
 
 
 CACHE_HEADER = "subject_id,session_index,label,channel,band,segment_index,value\n"
+# a complete cache of one AD subject: 3 channels, 4 bands, 1 segment, sessions 1..6
+AD_ONLY_CACHE = CACHE_HEADER + "".join(
+    f"S01,{session},AD,{channel},{band},0,0.{session}{c}{b}\n"
+    for session in range(1, 7) for c, channel in enumerate(("F7", "T7", "P4"))
+    for b, band in enumerate(("delta", "theta", "alpha", "beta")))
 BAD_COMMANDS = {  # argv, and the content of the file named {file}
     "sweep_pcs_values": (["sweep", "--data", "{data}", *QUAD, "--axis", "pcs",
                           "--values", "1,x"], None),
@@ -380,7 +385,13 @@ BAD_COMMANDS = {  # argv, and the content of the file named {file}
                              "--cache", "{file}"], "# config: {broken\n" + CACHE_HEADER),
     "cache_without_rows": (["connectivity", "--data", "{data}", "--mode", "triple",
                             "--cache", "{file}"], CACHE_HEADER),
+    "connectivity_one_class": (["connectivity", "--data", "{data}", "--mode", "triple",
+                                "--band", "alpha", "--cache", "{file}"], AD_ONLY_CACHE),
     "train_without_channels": (["train", "--data", "{data}", "--band", "alpha"], None),
+    "train_p_sweep_limit": (["train", "--data", "{data}", *QUAD, "--p-sweep-limit", "3"],
+                            None),
+    "crossval_p_sweep_limit": (["crossval", "--data", "{data}", *QUAD,
+                                "--p-sweep-limit", "3"], None),
     "spec_not_json": (["synth", "--spec", "{file}"], "not json\n"),
     "spec_without_subjects": (["synth", "--spec", "{file}"], "{}\n"),
 }

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import synthetic_cache
 from qeeg.connectivity import interclass_distance, measure_connectivity, measure_values
-from qeeg.errors import DegenerateDataError, ParameterError
+from qeeg.errors import DegenerateDataError, ParameterError, ValidationError
+from qeeg.pipeline import rotation_class_key
 from qeeg.qlinalg import QuaternionMatrix
 from qeeg import qpca
 
@@ -131,6 +132,34 @@ def test_reduced_report_matches_every_tuple_measured(small_cache, small_keys, mo
                            - by_class[label].mean()) <= 1e-12, (band, channels)
             dist = interclass_distance(by_class["NonAD"], by_class["AD"])
             assert abs(report.dist_by_band[band][i] - dist) <= 1e-12, (band, channels)
+
+
+@pytest.mark.parametrize("mode,size", [("triple", 3), ("quadruple", 4)])
+def test_measures_one_order_per_rotation_class(small_cache, small_keys, monkeypatch,
+                                               mode, size):
+    import qeeg.connectivity
+
+    calls = []
+
+    def counted(cache, keys, channels, band):
+        calls.append((tuple(channels), band))
+        return measure_values(cache, keys, channels, band)
+
+    monkeypatch.setattr(qeeg.connectivity, "measure_values", counted)
+    train, _ = small_keys
+    measure_connectivity(small_cache, train, mode, ("alpha", "beta"))
+    first = {}
+    for t in permutations(small_cache.channels, size):
+        first.setdefault(rotation_class_key(t), t)
+    assert calls == [(t, band) for band in ("alpha", "beta") for t in first.values()]
+    assert len(calls) == 2 * len(list(permutations(small_cache.channels, size))) // 3
+
+
+def test_one_class_key_set_is_rejected(small_cache, small_keys):
+    train, _ = small_keys
+    ad_only = [key for key in train if small_cache.labels[key] == "AD"]
+    with pytest.raises(ValidationError, match="both classes"):
+        measure_connectivity(small_cache, ad_only, "triple", ("alpha",))
 
 
 def test_degenerate_class_skipped_for_each_member():

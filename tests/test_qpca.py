@@ -119,7 +119,7 @@ def test_subspace_invariant_under_covariance_rescaling():
     rng = np.random.default_rng(7)
     q = rand_training(rng, 20, 8)
     m1 = fit(q, p=3)
-    m2 = fit(q, p=3, covariance_scale=2.7)
+    m2 = fit(q.scale(2.7), p=3)  # rows times c: covariance times c**2
     p1 = m1.basis @ m1.basis.H
     p2 = m2.basis @ m2.basis.H
     assert (p1 - p2).frobenius_norm() <= 1e-9

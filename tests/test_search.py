@@ -7,7 +7,8 @@ import pytest
 
 from conftest import synthetic_cache
 from qeeg.errors import ParameterError
-from qeeg.pipeline import PipelineParams, evaluate_quadruple, rotation_class_key
+from qeeg.pipeline import (PipelineParams, evaluate_quadruple, rotation_class_key,
+                           rotation_classes)
 from qeeg.pool import worker_pool
 from qeeg.search import (_init_worker, count_tuples, enumerate_channel_tuples,
                          lobe_of, rank, run_search)
@@ -115,6 +116,14 @@ def test_rotation_class_key():
     assert len({rotation_class_key(t) for t in ordered}) == 120 // 3
     triples = list(enumerate_channel_tuples(tuple("ABCDE"), 3, ordered=True))
     assert len({rotation_class_key(t) for t in triples}) == 60 // 3
+    firsts, classes = rotation_classes(ordered)
+    assert len(firsts) == 40 and len(classes) == 120
+    # ABCD, ABDC, ACBD, ACDB, ADBC, ADCB: two classes, numbered as they appear
+    assert firsts[:2] == [("A", "B", "C", "D"), ("A", "B", "D", "C")]
+    assert classes[:6] == [0, 1, 1, 0, 0, 1]
+    assert [ordered[classes.index(c)] for c in range(40)] == firsts
+    assert all(rotation_class_key(t) == rotation_class_key(firsts[c])
+               for t, c in zip(ordered, classes))
 
 
 def test_search_parallel_determinism(small_cache, small_keys, search_results):
@@ -162,14 +171,17 @@ def test_pool_workers_use_one_blas_thread():
     assert _openblas_threads() == before  # the calling process keeps its setting
 
 
-def test_search_per_trial_failure_recorded_not_raised():
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_search_per_trial_failure_recorded_not_raised(parallelism):
     rng = np.random.default_rng(5)
     cache = synthetic_cache(rng, channels=("A", "B", "C", "D", "E"), n_keys=12,
                             constant_channels=("A", "B", "C", "D"))
     train = cache.keys[:8]
     test = cache.keys[8:]
     results, summaries = run_search(cache, train, test, "alpha",
-                                    PipelineParams(p_sweep_limit=3), parallelism=1)
+                                    PipelineParams(p_sweep_limit=3),
+                                    parallelism=parallelism)
+    assert [r.trial_index for r in results] == list(range(120))
     invalid = [r for r in results if not r.valid]
     # the all-constant quadruple (A,B,C,D) in every order has a degenerate spectrum
     assert len(invalid) == 24
