@@ -84,8 +84,9 @@ def _validated(features, labels, regularization_c: float):
         raise ValidationError("labels must be -1 or +1")
     if np.count_nonzero(y > 0) in (0, len(y)):
         raise DegenerateDataError("training set contains a single class")
-    if regularization_c <= 0:
-        raise ParameterError(f"regularization C must be positive, got {regularization_c}")
+    if not 0 < regularization_c < np.inf:
+        raise ParameterError(
+            f"regularization C must be positive and finite, got {regularization_c}")
     return x, y, float(regularization_c)
 
 

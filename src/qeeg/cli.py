@@ -49,33 +49,52 @@ def _pct(value) -> str:
     return "n/a" if value is None else f"{value:.2f}"
 
 
-def _write_json(path: Path, config: dict, data) -> Path:
-    payload = json.dumps(data, sort_keys=True)
+def _write_json(path: Path, config: dict, data) -> None:
+    payload = json.dumps(data, sort_keys=True, allow_nan=False)
     doc = {"config": config, "checksum": _sha256_text(payload), "data": data}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return path
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
-def _write_csv(path: Path, config: dict, payload: str) -> Path:
-    head = (f"# config: {json.dumps(config, sort_keys=True)}\n"
+def _write_csv(path: Path, config: dict, payload: str) -> None:
+    head = (f"# config: {json.dumps(config, sort_keys=True, allow_nan=False)}\n"
             f"# checksum: {_sha256_text(payload)}\n")
     path.write_text(head + payload)
-    return path
 
 
-def _write_run_manifest(out_dir: Path, command: str, config: dict, outputs,
-                        args) -> Path:
+def _csv_text(header: str, rows) -> str:
+    """A CSV payload: `header`, then one line per row of values, each written
+    by `_fmt` with its commas turned into semicolons."""
+    lines = [header] + [",".join(_fmt(v).replace(",", ";") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_run_manifest(out_dir: Path, args, config: dict, outputs) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "invocation": {k: (list(v) if isinstance(v, tuple) else v)
                        for k, v in sorted(vars(args).items()) if k != "func"},
         "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in outputs},
     }
-    path = out_dir / f"{command}_manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
+    path = out_dir / f"{args.command}_manifest.json"
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n")
+
+
+def _emit(args, config: dict, files: dict, summary: str) -> int:
+    """The output step of every command but synth: create --out, write each
+    of `files` (name -> JSON data for a .json name, CSV text otherwise) with
+    the config echo, write the run manifest, and print `summary` followed by
+    the one file written, or by --out when there are several.  Commands call
+    this only once their arguments and inputs are validated, so a rejected
+    command leaves no directory."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, payload in files.items():
+        (_write_json if name.endswith(".json") else _write_csv)(out / name, config, payload)
+    _write_run_manifest(out, args, config, [out / name for name in files])
+    print(f"{summary} -> {out / next(iter(files)) if len(files) == 1 else out}")
+    return 0
 
 
 def _load_recordings(data_dir: str) -> list:
@@ -121,31 +140,24 @@ def _load_cache(args, segment_seconds: float) -> FeatureCache:
     return FeatureCache.from_recordings(_load_recordings(args.data), segment_seconds)
 
 
-def _params_from_args(args, default_sweep: int | None) -> PipelineParams:
-    """The trial parameters of the command line.  A command without a
-    default sweep (`default_sweep=None`) fits one model, at one p, and
-    rejects --p-sweep-limit."""
-    given = [name for name, val in (("--pcs", args.pcs),
-                                    ("--pc-threshold", args.pc_threshold),
-                                    ("--p-sweep-limit", args.p_sweep_limit))
-             if val is not None]
+def _params_from_args(args, sweeps: bool) -> PipelineParams:
+    """The trial parameters of the command line: the one p flag given, and
+    `PipelineParams`' defaults for the rest.  A command that `sweeps` sweeps
+    p by default; one that does not fits one model, at one p, and rejects
+    --p-sweep-limit."""
+    given = {flag: (field, value) for flag, field, value in (
+        ("--pcs", "p", args.pcs), ("--pc-threshold", "p_threshold", args.pc_threshold),
+        ("--p-sweep-limit", "p_sweep_limit", args.p_sweep_limit)) if value is not None}
     if len(given) > 1:
-        raise ConfigError(f"flags {given} are mutually exclusive")
-    if default_sweep is None and args.p_sweep_limit is not None:
+        raise ConfigError(f"flags {list(given)} are mutually exclusive")
+    if not sweeps and args.p_sweep_limit is not None:
         raise ConfigError(f"{args.command} fits one model and sweeps no p: fix it "
                           f"with --pcs N (or --pc-threshold T), not --p-sweep-limit")
-    p = args.pcs
-    threshold = args.pc_threshold if args.pc_threshold is not None else 0.90
-    if args.pcs is not None or args.pc_threshold is not None:
-        sweep = None
-    elif args.p_sweep_limit is not None:
-        sweep = args.p_sweep_limit
-    else:
-        sweep = default_sweep
+    p_flag = dict(given.values())
+    if given or not sweeps:  # a fixed p, a threshold or one model: no default sweep
+        p_flag.setdefault("p_sweep_limit", None)
     return PipelineParams(segment_seconds=args.segment_seconds,
-                          projection=args.projection, p=p,
-                          p_sweep_limit=sweep, p_threshold=threshold,
-                          svm_c=args.svm_c)
+                          projection=args.projection, svm_c=args.svm_c, **p_flag)
 
 
 def _channels_arg(value: str) -> tuple:
@@ -159,14 +171,13 @@ def _require_quadruple(args) -> tuple:
     return tuple(ChannelQuadruple(args.channels))
 
 
-def _config_echo(command: str, args, params: PipelineParams | None = None,
-                 **extra) -> dict:
+def _config_echo(args, params: PipelineParams | None = None, **extra) -> dict:
     """Computation-relevant configuration embedded in every output file.
 
     Execution details that cannot change results (--out, --parallelism) stay
     out of the echo so reruns produce byte-identical files; the run manifest
     records the full invocation."""
-    config = {"command": command}
+    config = {"command": args.command}
     for name in ("data", "cache", "band", "segment_seconds", "projection",
                  "svm_c", "seed", "k", "repeats", "mode", "axis"):
         if hasattr(args, name):
@@ -177,14 +188,6 @@ def _config_echo(command: str, args, params: PipelineParams | None = None,
         config["params"] = params.to_json()
     config.update(extra)
     return config
-
-
-def _out_dir(args) -> Path:
-    """Create --out.  Commands call this only once their arguments and
-    inputs are validated, so a rejected command leaves no directory."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # -- commands -----------------------------------------------------------
@@ -203,14 +206,13 @@ def cmd_synth(args) -> int:
     else:
         spec = SynthSpec.default()
     recordings = synthesize_dataset(spec, seed=args.seed)
-    out = _out_dir(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = []
     for rec in recordings:
         manifest_path = save_recording(rec, out)
-        outputs.append(manifest_path)
-        outputs.append(manifest_path.with_suffix(".csv"))
-    config = _config_echo("synth", args, spec=spec.to_json())
-    _write_run_manifest(out, "synth", config, outputs, args)
+        outputs += [manifest_path, manifest_path.with_suffix(".csv")]
+    _write_run_manifest(out, args, _config_echo(args, spec=spec.to_json()), outputs)
     print(f"synth: wrote {len(recordings)} recordings to {out}")
     return 0
 
@@ -218,23 +220,18 @@ def cmd_synth(args) -> int:
 def cmd_features(args) -> int:
     recordings = _load_recordings(args.data)
     cache = FeatureCache.from_recordings(recordings, args.segment_seconds)
-    config = _config_echo("features", args)
-    out = _out_dir(args)
-    path = _write_csv(out / "features.csv", config, cache.to_csv_text())
-    _write_run_manifest(out, "features", config, [path], args)
-    print(f"features: {len(cache.keys)} recordings x {len(cache.channels)} channels "
-          f"x {len(cache.bands)} bands x {cache.n_segments} segments -> {path}")
-    return 0
+    return _emit(args, _config_echo(args), {"features.csv": cache.to_csv_text()},
+                 f"features: {len(cache.keys)} recordings x {len(cache.channels)} channels "
+                 f"x {len(cache.bands)} bands x {cache.n_segments} segments")
 
 
 def cmd_train(args) -> int:
     quadruple = _require_quadruple(args)
-    params = _params_from_args(args, default_sweep=None)
+    params = _params_from_args(args, sweeps=False)
     cache = _load_cache(args, args.segment_seconds)
     train_keys, _ = session_split_keys(cache.keys)
     model, svm = train_pipeline(cache, train_keys, quadruple, args.band, params)
     train_metrics = evaluate_model(model, svm, cache, train_keys)
-    config = _config_echo("train", args, params)
     data = {
         "qpca": model.to_json(),
         "svm": {"weights": svm.weights.tolist(), "bias": svm.bias,
@@ -243,12 +240,9 @@ def cmd_train(args) -> int:
                 "iterations": svm.iterations},
         "train_metrics": train_metrics.to_json(),
     }
-    out = _out_dir(args)
-    path = _write_json(out / "model.json", config, data)
-    _write_run_manifest(out, "train", config, [path], args)
-    print(f"train: band={args.band} channels={','.join(quadruple)} p={model.p} "
-          f"train_acc={train_metrics.acc:.2f} -> {path}")
-    return 0
+    return _emit(args, _config_echo(args, params), {"model.json": data},
+                 f"train: band={args.band} channels={','.join(quadruple)} p={model.p} "
+                 f"train_acc={train_metrics.acc:.2f}")
 
 
 def _load_model(path: Path):
@@ -282,57 +276,36 @@ def cmd_eval(args) -> int:
     keys = {"testing": test_keys, "training": train_keys,
             "all": train_keys + test_keys}[args.split]
     result = evaluate_model(model, svm, cache, keys)
-    config = _config_echo("eval", args, model=str(args.model), split=args.split)
-    out = _out_dir(args)
-    path = _write_json(out / "metrics.json", config, result.to_json())
-    _write_run_manifest(out, "eval", config, [path], args)
-    print(f"eval[{args.split}]: acc={_pct(result.acc)} sen={_pct(result.sen)} "
-          f"spe={_pct(result.spe)} -> {path}")
-    return 0
-
-
-def _search_results_csv(results) -> str:
-    lines = ["trial_index,ch1,ch2,ch3,ch4,band,p_used,acc,sen,spe,valid,error"]
-    for r in results:
-        ch = list(r.permutation)
-        lines.append(",".join([
-            str(r.trial_index), ch[0], ch[1], ch[2], ch[3], r.band,
-            _fmt(r.p_used), _fmt(r.acc), _fmt(r.sen), _fmt(r.spe),
-            str(int(r.valid)), (r.error or "").replace(",", ";")]))
-    return "\n".join(lines) + "\n"
-
-
-def _search_summary_csv(summaries) -> str:
-    lines = ["combination,band,mean_acc,mean_sen,mean_spe,"
-             "best_permutation,best_acc,n_trials,n_invalid"]
-    for s in summaries:
-        lines.append(",".join([
-            "|".join(s.combination), s.band, _fmt(s.mean_acc), _fmt(s.mean_sen),
-            _fmt(s.mean_spe),
-            "|".join(s.best_permutation) if s.best_permutation else "",
-            _fmt(s.best_acc), str(s.n_trials), str(s.n_invalid)]))
-    return "\n".join(lines) + "\n"
+    config = _config_echo(args, model=str(args.model), split=args.split)
+    return _emit(args, config, {"metrics.json": result.to_json()},
+                 f"eval[{args.split}]: acc={_pct(result.acc)} sen={_pct(result.sen)} "
+                 f"spe={_pct(result.spe)}")
 
 
 def cmd_search(args) -> int:
-    params = _params_from_args(args, default_sweep=20)
+    params = _params_from_args(args, sweeps=True)
     cache = _load_cache(args, args.segment_seconds)
     train_keys, test_keys = session_split_keys(cache.keys)
     results, summaries = search.run_search(cache, train_keys, test_keys,
                                            args.band, params,
                                            parallelism=args.parallelism)
-    config = _config_echo("search", args, params)
-    out = _out_dir(args)
-    paths = [
-        _write_csv(out / "search_results.csv", config, _search_results_csv(results)),
-        _write_csv(out / "search_summary.csv", config, _search_summary_csv(summaries)),
-        _write_json(out / "search_ranked.json", config, search.rank(summaries)),
-    ]
-    _write_run_manifest(out, "search", config, paths, args)
+    files = {
+        "search_results.csv": _csv_text(
+            "trial_index,ch1,ch2,ch3,ch4,band,p_used,acc,sen,spe,valid,error",
+            ([r.trial_index, *r.permutation, r.band, r.p_used, r.acc, r.sen, r.spe,
+              int(r.valid), r.error] for r in results)),
+        "search_summary.csv": _csv_text(
+            "combination,band,mean_acc,mean_sen,mean_spe,"
+            "best_permutation,best_acc,n_trials,n_invalid",
+            (["|".join(s.combination), s.band, s.mean_acc, s.mean_sen, s.mean_spe,
+              "|".join(s.best_permutation or ()), s.best_acc, s.n_trials, s.n_invalid]
+             for s in summaries)),
+        "search_ranked.json": search.rank(summaries),
+    }
     n_invalid = sum(not r.valid for r in results)
-    print(f"search: {len(results)} trials ({n_invalid} invalid), "
-          f"{len(summaries)} combinations -> {out}")
-    return 0
+    return _emit(args, _config_echo(args, params), files,
+                 f"search: {len(results)} trials ({n_invalid} invalid), "
+                 f"{len(summaries)} combinations")
 
 
 def cmd_connectivity(args) -> int:
@@ -340,27 +313,22 @@ def cmd_connectivity(args) -> int:
     train_keys, test_keys = session_split_keys(cache.keys)
     keys = train_keys + test_keys if args.include_testing else train_keys
     bands = [args.band] if args.band else list(BAND_NAMES)
-    config = _config_echo("connectivity", args, bands=bands,
-                          include_testing=args.include_testing)
+    config = _config_echo(args, bands=bands, include_testing=args.include_testing)
     tensors_by_band, report = connectivity.measure_connectivity(
         cache, keys, args.mode, bands)
-    out = _out_dir(args)
-    paths = []
-    for band, tensors in tensors_by_band.items():
-        for label, tensor in sorted(tensors.items()):
-            doc = tensor.to_json()
-            doc["skipped_tuples"] = report.skipped_by_band[band]
-            paths.append(_write_json(out / f"tensor_{band}_{label}.json", config, doc))
-    paths.append(_write_json(out / "distance_report.json", config, report.to_json()))
-    _write_run_manifest(out, "connectivity", config, paths, args)
-    dists = ", ".join(f"{b}={report.mean_dist(b):.4f}" for b in bands)
-    print(f"connectivity[{args.mode}]: mean Dist {dists} -> {out}")
-    return 0
+    files = {f"tensor_{band}_{label}.json":
+             {**tensor.to_json(), "skipped_tuples": report.skipped_by_band[band]}
+             for band, tensors in tensors_by_band.items()
+             for label, tensor in sorted(tensors.items())}
+    files["distance_report.json"] = report.to_json()
+    means = [(band, report.mean_dist(band)) for band in bands]
+    dists = ", ".join(f"{b}={'n/a' if m is None else f'{m:.4f}'}" for b, m in means)
+    return _emit(args, config, files, f"connectivity[{args.mode}]: mean Dist {dists}")
 
 
 def cmd_crossval(args) -> int:
     quadruple = _require_quadruple(args)
-    params = _params_from_args(args, default_sweep=None)
+    params = _params_from_args(args, sweeps=False)
     cache = _load_cache(args, args.segment_seconds)
     keys = list(cache.keys)
     vectors = cache.vectors(keys, quadruple, args.band)
@@ -371,15 +339,11 @@ def cmd_crossval(args) -> int:
                             repeats=args.repeats, seed=args.seed,
                             regularization_c=params.svm_c,
                             stratified=not args.unstratified)
-    config = _config_echo("crossval", args, params, p_used=model.p,
-                          stratified=not args.unstratified)
-    out = _out_dir(args)
-    path = _write_json(out / "crossval.json", config, result.to_json())
-    _write_run_manifest(out, "crossval", config, [path], args)
-    print(f"crossval: k={args.k} repeats={args.repeats} "
-          f"mean_score={result.mean_score:.4f} (acc ~ {100 * (1 - result.mean_score):.2f}%) "
-          f"-> {path}")
-    return 0
+    config = _config_echo(args, params, p_used=model.p, stratified=not args.unstratified)
+    return _emit(args, config, {"crossval.json": result.to_json()},
+                 f"crossval: k={args.k} repeats={args.repeats} "
+                 f"mean_score={result.mean_score:.4f} "
+                 f"(acc ~ {100 * (1 - result.mean_score):.2f}%)")
 
 
 def cmd_sweep(args) -> int:
@@ -387,7 +351,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep featurizes the recordings at every grid point "
                           "and cannot use --cache")
     quadruple = _require_quadruple(args)
-    params = _params_from_args(args, default_sweep=20)
+    params = _params_from_args(args, sweeps=True)
     axis = {"segment": "segment_seconds", "projection": "projection",
             "pcs": "p"}[args.axis]
     parse = {"projection": str, "p": int, "segment_seconds": float}[axis]
@@ -400,33 +364,23 @@ def cmd_sweep(args) -> int:
     train_keys, test_keys = session_split_keys([r.key() for r in recordings])
     rows = sweep_parameters(recordings, train_keys, test_keys, quadruple, args.band,
                             axis, values, base=params)
-    lines = ["axis,value,acc,sen,spe,p_used,error"]
-    for r in rows:
-        lines.append(",".join([r["axis"], _fmt(r["value"]), _fmt(r["acc"]),
-                               _fmt(r["sen"]), _fmt(r["spe"]), _fmt(r["p_used"]),
-                               (r["error"] or "").replace(",", ";")]))
-    config = _config_echo("sweep", args, params, values=[_fmt(v) for v in values])
-    out = _out_dir(args)
-    path = _write_csv(out / "sweep.csv", config, "\n".join(lines) + "\n")
-    _write_run_manifest(out, "sweep", config, [path], args)
-    print(f"sweep[{args.axis}]: {len(rows)} grid points -> {path}")
-    return 0
+    header = "axis,value,acc,sen,spe,p_used,error"
+    text = _csv_text(header, ([r[column] for column in header.split(",")] for r in rows))
+    config = _config_echo(args, params, values=[_fmt(v) for v in values])
+    return _emit(args, config, {"sweep.csv": text},
+                 f"sweep[{args.axis}]: {len(rows)} grid points")
 
 
 def cmd_baseline(args) -> int:
     quadruple = _require_quadruple(args)
-    params = _params_from_args(args, default_sweep=20)
+    params = _params_from_args(args, sweeps=True)
     cache = _load_cache(args, args.segment_seconds)
     train_keys, test_keys = session_split_keys(cache.keys)
     result = baseline.compare(cache, train_keys, test_keys, quadruple,
                               args.band, params)
-    config = _config_echo("baseline", args, params)
-    out = _out_dir(args)
-    path = _write_json(out / "comparison.json", config, result)
-    _write_run_manifest(out, "baseline", config, [path], args)
-    print(f"baseline: qpca acc={_pct(result['qpca']['acc'])} vs "
-          f"real-pca acc={_pct(result['real_pca']['acc'])} -> {path}")
-    return 0
+    return _emit(args, _config_echo(args, params), {"comparison.json": result},
+                 f"baseline: qpca acc={_pct(result['qpca']['acc'])} vs "
+                 f"real-pca acc={_pct(result['real_pca']['acc'])}")
 
 
 # -- argument parsing ----------------------------------------------------
@@ -457,47 +411,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quaternion-PCA EEG pipeline: features, classification, "
                     "connectivity, channel search.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags every command (--out) or every command but synth (--data) takes
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True)
+    data = argparse.ArgumentParser(add_help=False, parents=[out])
+    data.add_argument("--data", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = sub.add_parser("synth", parents=[out], help="generate a synthetic dataset")
     p.add_argument("--spec", default=None, help="SynthSpec JSON (default spec if omitted)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("features", help="featurize recordings into a cache CSV")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("features", parents=[data],
+                       help="featurize recordings into a cache CSV")
     p.add_argument("--segment-seconds", type=float, default=1.0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("train", help="fit QPCA + SVM on the training split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("train", parents=[data], help="fit QPCA + SVM on the training split")
     _add_shared(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a trained model")
+    p = sub.add_parser("eval", parents=[data], help="evaluate a trained model")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--split", choices=("testing", "training", "all"),
                    default="testing")
     p.add_argument("--band", choices=BAND_NAMES, default=None)
     p.add_argument("--channels", type=_channels_arg, default=None)
     p.add_argument("--cache", default=None,
                    help="feature cache CSV built with the model's --segment-seconds")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("search", help="exhaustive ordered 4-channel search")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("search", parents=[data], help="exhaustive ordered 4-channel search")
     _add_shared(p, with_channels=False)
     p.add_argument("--parallelism", type=int, default=usable_cores())
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("connectivity", help="connectivity tensors and distances")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("connectivity", parents=[data],
+                       help="connectivity tensors and distances")
     p.add_argument("--mode", choices=("triple", "quadruple"), required=True)
     p.add_argument("--band", choices=BAND_NAMES, default=None,
                    help="single band (default: all four)")
@@ -507,9 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="measure on all sessions, not only the training split")
     p.set_defaults(func=cmd_connectivity)
 
-    p = sub.add_parser("crossval", help="repeated k-fold cross-validation")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("crossval", parents=[data], help="repeated k-fold cross-validation")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--repeats", type=int, default=1000)
     p.add_argument("--unstratified", action="store_true",
@@ -518,18 +466,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p)
     p.set_defaults(func=cmd_crossval)
 
-    p = sub.add_parser("sweep", help="parameter sweep along one axis")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("sweep", parents=[data], help="parameter sweep along one axis")
     p.add_argument("--axis", choices=("segment", "projection", "pcs"), required=True)
     p.add_argument("--values", required=True,
                    help="comma-separated grid values for the chosen axis")
     _add_shared(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("baseline", help="quaternion vs real PCA comparison")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("baseline", parents=[data],
+                       help="quaternion vs real PCA comparison")
     _add_shared(p)
     p.set_defaults(func=cmd_baseline)
 

@@ -108,9 +108,11 @@ class DistanceReport:
     class_means_by_band: dict  # band -> {label: per-tuple class means}
     skipped_by_band: dict     # band -> count of degenerate tuples
 
-    def mean_dist(self, band: str) -> float:
-        """Mean Dist over the tuples the band measured."""
-        return float(np.mean([d for d in self.dist_by_band[band] if d is not None]))
+    def mean_dist(self, band: str) -> float | None:
+        """Mean Dist over the tuples the band measured; None when it
+        skipped every tuple."""
+        measured = [d for d in self.dist_by_band[band] if d is not None]
+        return float(np.mean(measured)) if measured else None
 
     def to_json(self) -> dict:
         return {

@@ -58,8 +58,10 @@ class PipelineParams:
             raise ParameterError(f"p_sweep_limit must be >= 1, got {self.p_sweep_limit}")
         if not 0 < self.p_threshold <= 1:
             raise ParameterError(f"p_threshold must be in (0, 1], got {self.p_threshold}")
-        if self.svm_c <= 0:
-            raise ParameterError(f"svm_c must be positive, got {self.svm_c}")
+        if not 0 < self.svm_c < np.inf:
+            raise ParameterError(f"svm_c must be positive and finite, got {self.svm_c}")
+        if not np.isfinite(self.segment_seconds):
+            raise ParameterError(f"segment_seconds must be finite, got {self.segment_seconds}")
 
     def with_(self, **kw) -> "PipelineParams":
         return replace(self, **kw)
@@ -167,6 +169,9 @@ class FeatureCache:
     def from_csv_text(cls, text: str, segment_seconds: float) -> "FeatureCache":
         """Parse `to_csv_text` output.  Each key needs one label from LABELS
         and exactly one row per cell of its channel x band x segment grid."""
+        if not 0 < segment_seconds < np.inf:
+            raise ParameterError(
+                f"segment_seconds must be positive and finite, got {segment_seconds}")
         lines = [ln for ln in text.splitlines()
                  if ln and not ln.startswith("#")]
         header = "subject_id,session_index,label,channel,band,segment_index,value"

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ParameterError
 from .pipeline import (FeatureCache, PipelineParams, evaluate_quadruple,
                        rotation_classes)
-from .pool import worker_pool
+from .pool import usable_cores, worker_pool
 
 __all__ = [
     "TrialResult", "CombinationSummary", "LOBE_GROUPS", "lobe_of",
@@ -127,12 +127,14 @@ def run_search(cache: FeatureCache, train_keys, test_keys, band: str,
     firsts, classes = rotation_classes(perms)
     ctx = {"cache": cache, "train_keys": list(train_keys),
            "test_keys": list(test_keys), "band": band, "params": params}
-    if parallelism == 1:
+    # a pool starts all its workers at once: no more than the cores or tasks
+    workers = min(parallelism, usable_cores(), len(firsts))
+    if workers == 1:
         rows = [_run_one(ctx, perm) for perm in firsts]
     else:
         # eight chunks per worker balance the load at one pickle per chunk
-        chunk = math.ceil(len(firsts) / (8 * parallelism))
-        with worker_pool(parallelism, _init_worker, (ctx,)) as pool:
+        chunk = math.ceil(len(firsts) / (8 * workers))
+        with worker_pool(workers, _init_worker, (ctx,)) as pool:
             rows = list(pool.map(_run_class, firsts, chunksize=chunk))
     results = [replace(rows[c], trial_index=i, permutation=perm)
                for i, (perm, c) in enumerate(zip(perms, classes))]

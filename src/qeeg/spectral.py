@@ -62,10 +62,11 @@ def band_by_name(name: str) -> BandDefinition:
 
 def samples_per_segment(segment_seconds: float, sampling_rate_hz: float) -> int:
     """Samples in one segment; must come out integral."""
-    if segment_seconds <= 0:
-        raise ParameterError(f"segment_seconds must be positive, got {segment_seconds}")
+    if not 0 < segment_seconds < np.inf:
+        raise ParameterError(
+            f"segment_seconds must be positive and finite, got {segment_seconds}")
     exact = segment_seconds * sampling_rate_hz
-    n = round(exact)
+    n = round(exact) if exact < np.inf else 0
     if n < 2 or abs(exact - n) > 1e-9 * max(1.0, abs(exact)):
         raise ParameterError(
             f"segment of {segment_seconds}s at {sampling_rate_hz}Hz gives "

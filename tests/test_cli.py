@@ -369,6 +369,11 @@ AD_ONLY_CACHE = CACHE_HEADER + "".join(
     f"S01,{session},AD,{channel},{band},0,0.{session}{c}{b}\n"
     for session in range(1, 7) for c, channel in enumerate(("F7", "T7", "P4"))
     for b, band in enumerate(("delta", "theta", "alpha", "beta")))
+# two classes, every value 0.25: each channel tuple is degenerate
+CONSTANT_CACHE = CACHE_HEADER + "".join(
+    f"{subject},{session},{label},{channel},{band},0,0.25\n"
+    for subject, label in (("S01", "AD"), ("S02", "NonAD")) for session in range(1, 7)
+    for channel in ("F7", "T7", "P4") for band in ("delta", "theta", "alpha", "beta"))
 BAD_COMMANDS = {  # argv, and the content of the file named {file}
     "sweep_pcs_values": (["sweep", "--data", "{data}", *QUAD, "--axis", "pcs",
                           "--values", "1,x"], None),
@@ -394,6 +399,20 @@ BAD_COMMANDS = {  # argv, and the content of the file named {file}
                                 "--p-sweep-limit", "3"], None),
     "spec_not_json": (["synth", "--spec", "{file}"], "not json\n"),
     "spec_without_subjects": (["synth", "--spec", "{file}"], "{}\n"),
+    "features_segment_nan": (["features", "--data", "{data}", "--segment-seconds", "nan"],
+                             None),
+    "features_segment_inf": (["features", "--data", "{data}", "--segment-seconds", "inf"],
+                             None),
+    # finite, but its sample count overflows to inf
+    "features_segment_1e308": (["features", "--data", "{data}", "--segment-seconds", "1e308"],
+                               None),
+    "search_svm_c_nan": (["search", "--data", "{data}", "--band", "alpha",
+                          "--svm-c", "nan"], None),
+    "train_svm_c_inf": (["train", "--data", "{data}", *QUAD, "--pcs", "2", "--svm-c", "inf"],
+                        None),
+    "connectivity_cache_segment_inf": (["connectivity", "--data", "{data}", "--mode", "triple",
+                                        "--segment-seconds", "inf", "--cache", "{file}"],
+                                       CONSTANT_CACHE),
 }
 
 
@@ -485,3 +504,91 @@ def test_usage_errors(tmp_path, capsys):
     rc = main(["features", "--data", str(empty), "--out", str(tmp_path / "o2")])
     assert rc == 1
     assert "no recording manifests" in capsys.readouterr().err
+
+
+BANDS = ("delta", "theta", "alpha", "beta")
+# option strings -> (dest, default, type name, choices, required)
+OUT = {"--out": ("out", None, None, None, True)}
+DATA = {"--data": ("data", None, None, None, True), **OUT}
+SEGMENT = {"--segment-seconds": ("segment_seconds", 1.0, "float", None, False)}
+CACHE = {"--cache": ("cache", None, None, None, False)}
+CHANNELS = {"--channels": ("channels", None, "_channels_arg", None, False)}
+TRIAL = {
+    **DATA, **SEGMENT, **CACHE,
+    "--band": ("band", None, None, BANDS, True),
+    "--projection": ("projection", "mean", None, ("mean", "absolute", "norm", "phase"), False),
+    "--pcs": ("pcs", None, "int", None, False),
+    "--pc-threshold": ("pc_threshold", None, "float", None, False),
+    "--p-sweep-limit": ("p_sweep_limit", None, "int", None, False),
+    "--svm-c": ("svm_c", 1.0, "float", None, False),
+}
+PARSER_SURFACE = {
+    "synth": {**OUT, "--spec": ("spec", None, None, None, False),
+              "--seed": ("seed", 0, "int", None, False)},
+    "features": {**DATA, **SEGMENT},
+    "train": {**TRIAL, **CHANNELS},
+    "eval": {**DATA, **CHANNELS, **CACHE,
+             "--model": ("model", None, None, None, True),
+             "--split": ("split", "testing", None, ("testing", "training", "all"), False),
+             "--band": ("band", None, None, BANDS, False)},
+    "search": {**TRIAL, "--parallelism": ("parallelism", 3, "int", None, False)},
+    "connectivity": {**DATA, **SEGMENT, **CACHE,
+                     "--mode": ("mode", None, None, ("triple", "quadruple"), True),
+                     "--band": ("band", None, None, BANDS, False),
+                     "--include-testing": ("include_testing", False, None, None, False)},
+    "crossval": {**TRIAL, **CHANNELS,
+                 "--k": ("k", 10, "int", None, False),
+                 "--repeats": ("repeats", 1000, "int", None, False),
+                 "--unstratified": ("unstratified", False, None, None, False),
+                 "--seed": ("seed", 0, "int", None, False)},
+    "sweep": {**TRIAL, **CHANNELS,
+              "--axis": ("axis", None, None, ("segment", "projection", "pcs"), True),
+              "--values": ("values", None, None, None, True)},
+    "baseline": {**TRIAL, **CHANNELS},
+}
+
+
+def test_parser_surface(monkeypatch):
+    import argparse
+
+    monkeypatch.setattr(cli, "usable_cores", lambda: 3)
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    surface = {name: {" ".join(a.option_strings): (
+        a.dest, a.default, getattr(a.type, "__name__", None),
+        None if a.choices is None else tuple(a.choices), a.required)
+        for a in command._actions if a.dest != "help"}
+        for name, command in commands.items()}
+    assert surface == PARSER_SURFACE
+
+
+def test_unstratified_folds(data_dir, tmp_path):
+    from qeeg.classifier import cross_validate
+
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((23, 2))
+    y = np.where(np.arange(23) < 8, 1.0, -1.0)
+    runs = [cross_validate(x, y, k=5, repeats=4, seed=seed, stratified=False)
+            for seed in (1, 1, 2)]
+    for folds in runs[0].fold_ids:
+        sizes = np.bincount(folds, minlength=5)
+        assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1 and sizes.sum() == 23
+    assert all(np.array_equal(a, b) for a, b in zip(runs[0].fold_ids, runs[1].fold_ids))
+    assert not all(np.array_equal(a, b) for a, b in zip(runs[0].fold_ids, runs[2].fold_ids))
+
+    out = tmp_path / "cv"
+    assert main(["crossval", "--data", str(data_dir), *QUAD, "--pcs", "2", "--k", "4",
+                 "--repeats", "2", "--unstratified", "--out", str(out)]) == 0
+    assert read_output_json(out / "crossval.json")["config"]["stratified"] is False
+
+
+def test_connectivity_band_without_measured_tuple(data_dir, tmp_path, capsys):
+    cache = tmp_path / "features.csv"
+    cache.write_text(CONSTANT_CACHE)
+    out = tmp_path / "conn"
+    assert main(["connectivity", "--data", str(data_dir), "--mode", "triple",
+                 "--band", "alpha", "--cache", str(cache), "--out", str(out)]) == 0
+    assert "mean Dist alpha=n/a" in capsys.readouterr().out
+    report = read_output_json(out / "distance_report.json")["data"]
+    assert report["mean_dist"] == {"alpha": None} and report["skipped"] == {"alpha": 6}

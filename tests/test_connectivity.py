@@ -1,4 +1,5 @@
 """Connectivity measure, interclass distance, and tensor tests."""
+import json
 from itertools import permutations
 
 import numpy as np
@@ -233,3 +234,13 @@ def test_mode_validation(small_cache, small_keys):
         measure_connectivity(small_cache, train, "pairs")
     with pytest.raises(ParameterError):
         measure_values(small_cache, train, ("F8", "T7"), "alpha")
+
+
+def test_band_that_skips_every_tuple_has_no_mean_dist():
+    rng = np.random.default_rng(6)
+    cache = synthetic_cache(rng, channels=("A", "B", "C"), constant_channels=("A", "B", "C"))
+    tensors, report = measure_connectivity(cache, cache.keys, "triple", ("alpha",))
+    assert tensors == {"alpha": {}} and report.skipped_by_band == {"alpha": 6}
+    assert report.mean_dist("alpha") is None
+    text = json.dumps(report.to_json(), allow_nan=False)
+    assert json.loads(text)["mean_dist"] == {"alpha": None}

@@ -220,3 +220,30 @@ def test_rank_single_result():
     assert report["ranked"][0]["combination"] == ["A", "B", "C", "D"]
     with pytest.raises(ParameterError):
         rank([])
+
+
+@pytest.mark.parametrize("parallelism,cores,workers", [
+    (500, 64, 40), (8, 2, 2), (2, 1, None), (1, 64, None)])
+def test_search_pool_is_capped(small_cache, small_keys, search_results, monkeypatch,
+                               parallelism, cores, workers):
+    from contextlib import contextmanager
+
+    from qeeg import search
+
+    sizes = []
+
+    @contextmanager
+    def in_process(size, initializer, initargs):  # no process is started
+        sizes.append(size)
+        initializer(*initargs)
+        yield type("Serial", (), {"map": staticmethod(lambda f, xs, chunksize: map(f, xs))})
+
+    monkeypatch.setattr(search, "_CTX", None)
+    monkeypatch.setattr(search, "usable_cores", lambda: cores)
+    monkeypatch.setattr(search, "worker_pool", in_process)
+    train, test = small_keys
+    # 5 channels: 120 ordered quadruples in 40 rotation classes
+    results = run_search(small_cache, train, test, "alpha", PipelineParams(p_sweep_limit=5),
+                         parallelism=parallelism)
+    assert sizes == ([] if workers is None else [workers])
+    assert results == search_results
