@@ -9,15 +9,15 @@ from it, which keeps trials cheap and byte-reproducible.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
 from . import qpca
 from .classifier import (ConfusionCounts, MetricsResult, confusion, metrics, svm_fit,
                          svm_fit_prefixes, svm_predict, svm_predict_prefixes)
-from .dataset import LABELS
+from .dataset import _OTHER_LINE_BREAKS, LABELS
 from .errors import ParameterError, ValidationError
 from .spectral import BAND_NAMES, band_power_matrix
 
@@ -26,6 +26,7 @@ __all__ = ["PipelineParams", "FeatureCache", "TrialOutcome", "rotation_class_key
            "train_pipeline", "evaluate_model", "sweep_parameters"]
 
 POSITIVE_LABEL = "AD"  # a true positive is a correctly detected AD sample
+CACHE_HEADER = "subject_id,session_index,label,channel,band,segment_index,value"
 
 
 def label_sign(label: str) -> float:
@@ -152,77 +153,157 @@ class FeatureCache:
     #    segment_index, value) -----------------------------------------
 
     def to_csv_text(self) -> str:
-        out = io.StringIO()
-        out.write("subject_id,session_index,label,channel,band,segment_index,value\n")
-        for key in self.keys:
-            subject, session = key
-            label = self.labels[key]
-            matrix = self.values[key]
-            for ci, channel in enumerate(self.channels):
-                for bi, band in enumerate(self.bands):
-                    for si in range(matrix.shape[2]):
-                        out.write(f"{subject},{session},{label},{channel},{band},"
-                                  f"{si},{float(matrix[ci, bi, si])!r}\n")
-        return out.getvalue()
+        n_segments = self.n_segments if self.values else 0
+        prefixes = _row_prefixes(self.keys, self.labels, self.channels, self.bands,
+                                 n_segments)
+        values = chain.from_iterable(self.values[k].ravel().tolist() for k in self.keys)
+        return CACHE_HEADER + "\n" + "".join(map("{}{!r}\n".format, prefixes, values))
 
     @classmethod
     def from_csv_text(cls, text: str, segment_seconds: float) -> "FeatureCache":
-        """Parse `to_csv_text` output.  Each key needs one label from LABELS
-        and exactly one row per cell of its channel x band x segment grid."""
+        """Parse a feature cache file.  Each key needs one label from LABELS
+        and exactly one row per cell of its channel x band x segment grid.
+
+        Text in the layout `to_csv_text` writes is read in one pass
+        (`_read_canonical`); any other text, or a fault, goes to the row
+        loop (`_read_rows`), which accepts rows in any order and names the
+        first fault."""
         if not 0 < segment_seconds < np.inf:
             raise ParameterError(
                 f"segment_seconds must be positive and finite, got {segment_seconds}")
-        lines = [ln for ln in text.splitlines()
-                 if ln and not ln.startswith("#")]
-        header = "subject_id,session_index,label,channel,band,segment_index,value"
-        if not lines or lines[0] != header:
-            raise ValidationError("feature cache header mismatch")
-        if len(lines) == 1:
-            raise ValidationError("feature cache has no rows: no recordings to featurize")
-        raw: dict = {}
-        labels: dict = {}
-        channels: list = []
-        for ln in lines[1:]:
-            try:
-                subject, session, label, channel, band, si, value = ln.split(",")
-                key, si, value = (subject, int(session)), int(si), float(value)
-            except ValueError as exc:
-                raise ValidationError(f"feature cache row {ln!r}: {exc}") from None
-            if labels.setdefault(key, label) != label:
-                raise ValidationError(
-                    f"feature cache rows of {key} disagree on the label: "
-                    f"{labels[key]!r} and {label!r}")
-            if channel not in channels:
-                channels.append(channel)
-            raw.setdefault(key, {}).setdefault(channel, {}).setdefault(band, {})[si] = value
-        values = {}
-        shape = None
-        for key, per_channel in raw.items():
-            if labels[key] not in LABELS:
-                raise ValidationError(
-                    f"unknown label {labels[key]!r} for {key}; expected one of {LABELS}")
-            # a KeyError here is a missing channel, band or segment 0..N_s-1
-            try:
-                arr = np.array([[[per_channel[c][b][s] for s in range(len(per_channel[c][b]))]
-                                 for b in BAND_NAMES] for c in channels],
-                               dtype=np.float64)
-            except (KeyError, ValueError) as exc:
-                raise ValidationError(f"incomplete feature cache for {key}: {exc}") from None
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
-                raise ValidationError(
-                    f"feature cache shape mismatch for {key}: {arr.shape} vs {shape}")
-            values[key] = arr
-        # the grids are complete, so any further row is a repeat or off the grid
-        n_cells = sum(arr.size for arr in values.values())
-        if n_cells != len(lines) - 1:
-            raise ValidationError(
-                f"feature cache has {len(lines) - 1} rows for {n_cells} cells: a row "
-                f"repeats a cell or names a band outside {BAND_NAMES}")
-        return cls(segment_seconds=segment_seconds, channels=tuple(channels),
+        channels, labels, values = _read_canonical(text) or _read_rows(text)
+        return cls(segment_seconds=segment_seconds, channels=channels,
                    bands=BAND_NAMES, keys=tuple(sorted(values)),
                    labels=labels, values=values)
+
+
+def _row_prefixes(keys, labels, channels, bands, n_segments):
+    """The first six fields of every cache row, each followed by its comma,
+    in the order `to_csv_text` writes the rows: key by key, then channel by
+    channel, band by band and segment by segment."""
+    segments = [f"{si}," for si in range(n_segments)]
+    for key in keys:
+        subject, session = key
+        for channel in channels:
+            for band in bands:
+                cell = f"{subject},{session},{labels[key]},{channel},{band},"
+                for segment in segments:
+                    yield cell + segment
+
+
+def _read_canonical(text: str):
+    """(channels, labels, values) of a cache in exactly the layout
+    `to_csv_text` writes, else None: ASCII text whose only line break is
+    "\n", `#` lines, the header, then the rows of every key in strictly
+    ascending key order, each row its canonical prefix (`_row_prefixes`)
+    plus one float.  The first rows give the segment count and the
+    channels, and the first row of each key block its key and label; every
+    row is then read as float(row.removeprefix(prefix)), which raises for a
+    row that is not its prefix plus one value, since a float holds no
+    comma."""
+    if not text.isascii() or any(brk in text for brk in _OTHER_LINE_BREAKS):
+        return None
+    lines = text.split("\n")
+    start = 0
+    while start < len(lines) and lines[start].startswith("#"):
+        start += 1
+    if start == len(lines) or lines[start] != CACHE_HEADER:
+        return None
+    offset = sum(len(line) + 1 for line in lines[:start + 1])
+    start += 1
+    stop = len(lines) - 1 if lines[-1] == "" else len(lines)
+    n_rows = stop - start
+    # A row without a comma would parse whole as a float, so every row must
+    # hold the six commas of its prefix.
+    if n_rows == 0 or text.count(",", offset) != 6 * n_rows:
+        return None
+    first = lines[start].split(",")
+    if len(first) != 7:
+        return None
+    cell, head = ",".join(first[:5]) + ",", ",".join(first[:3]) + ","
+    n_segments = 1
+    while n_segments < n_rows and lines[start + n_segments].startswith(cell):
+        n_segments += 1
+    stride = len(BAND_NAMES) * n_segments
+    channels = []
+    for r in range(start, stop, stride):
+        if not lines[r].startswith(head):
+            break
+        channels.append(lines[r].split(",")[3])
+    block = len(channels) * stride
+    if n_rows % block or len(set(channels)) != len(channels):
+        return None
+    keys, labels = [], {}
+    try:
+        for r in range(start, stop, block):
+            subject, session, label, _ = lines[r].split(",", 3)
+            key = (subject, int(session))
+            if subject.startswith("#") or label not in LABELS or (keys and key <= keys[-1]):
+                return None
+            keys.append(key)
+            labels[key] = label
+        prefixes = _row_prefixes(keys, labels, channels, BAND_NAMES, n_segments)
+        flat = np.fromiter(map(float, map(str.removeprefix, islice(lines, start, stop),
+                                          prefixes)),
+                           dtype=np.float64, count=n_rows)
+    except ValueError:
+        return None
+    grids = flat.reshape(len(keys), len(channels), len(BAND_NAMES), n_segments)
+    return tuple(channels), labels, dict(zip(keys, grids))
+
+
+def _read_rows(text: str):
+    """(channels, labels, values) of a cache read row by row: rows in any
+    order, blank and `#` lines skipped anywhere.  Raises ValidationError
+    naming the first fault."""
+    lines = [ln for ln in text.splitlines()
+             if ln and not ln.startswith("#")]
+    if not lines or lines[0] != CACHE_HEADER:
+        raise ValidationError("feature cache header mismatch")
+    if len(lines) == 1:
+        raise ValidationError("feature cache has no rows: no recordings to featurize")
+    raw: dict = {}
+    labels: dict = {}
+    channels: list = []
+    for ln in lines[1:]:
+        try:
+            subject, session, label, channel, band, si, value = ln.split(",")
+            key, si, value = (subject, int(session)), int(si), float(value)
+        except ValueError as exc:
+            raise ValidationError(f"feature cache row {ln!r}: {exc}") from None
+        if labels.setdefault(key, label) != label:
+            raise ValidationError(
+                f"feature cache rows of {key} disagree on the label: "
+                f"{labels[key]!r} and {label!r}")
+        if channel not in channels:
+            channels.append(channel)
+        raw.setdefault(key, {}).setdefault(channel, {}).setdefault(band, {})[si] = value
+    values = {}
+    shape = None
+    for key, per_channel in raw.items():
+        if labels[key] not in LABELS:
+            raise ValidationError(
+                f"unknown label {labels[key]!r} for {key}; expected one of {LABELS}")
+        # a KeyError here is a missing channel, band or segment 0..N_s-1
+        try:
+            arr = np.array([[[per_channel[c][b][s] for s in range(len(per_channel[c][b]))]
+                             for b in BAND_NAMES] for c in channels],
+                           dtype=np.float64)
+        except (KeyError, ValueError) as exc:
+            raise ValidationError(f"incomplete feature cache for {key}: {exc}") from None
+        if shape is None:
+            shape = arr.shape
+        elif arr.shape != shape:
+            raise ValidationError(
+                f"feature cache shape mismatch for {key}: {arr.shape} vs {shape}")
+        values[key] = arr
+    # the grids are complete, so any further row is a repeat or off the grid
+    n_cells = sum(arr.size for arr in values.values())
+    if n_cells != len(lines) - 1:
+        raise ValidationError(
+            f"feature cache has {len(lines) - 1} rows for {n_cells} cells: a row "
+            f"repeats a cell or names a band outside {BAND_NAMES}")
+    return tuple(channels), labels, values
 
 
 def rotation_class_key(channels) -> tuple:

@@ -9,7 +9,6 @@ pool behaves the same under every multiprocessing start method.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 from .blas import set_blas_threads
@@ -36,7 +35,10 @@ def _init_worker(initializer, initargs) -> None:
 def worker_pool(workers: int, initializer=None, initargs=()):
     """A pool of `workers` processes on one BLAS thread each, which then run
     `initializer(*initargs)`.  Leaving the block cancels the tasks not yet
-    started, so an error does not wait for the rest of the work."""
+    started, so an error does not wait for the rest of the work.  The pool
+    machinery is imported here, so a serial command does not load it."""
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                initargs=(initializer, initargs))
     try:

@@ -1,9 +1,11 @@
 """Feature cache and single-trial pipeline tests."""
+import random
+
 import numpy as np
 import pytest
 
 from conftest import synthetic_cache
-from qeeg import qpca
+from qeeg import pipeline, qpca
 from qeeg.classifier import (confusion, metrics, svm_fit, svm_fit_prefixes, svm_predict,
                              svm_predict_prefixes)
 from qeeg.errors import ParameterError, ValidationError
@@ -79,6 +81,97 @@ def test_cache_csv_rejects_rows_off_the_grid(small_cache, defect):
     text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
     with pytest.raises(ValidationError, match=defect):
         FeatureCache.from_csv_text(text, small_cache.segment_seconds)
+
+
+def _cache_parts(cache):
+    """Everything a FeatureCache holds, dict orders and value bits included."""
+    return (cache.keys, cache.channels, cache.bands, list(cache.labels.items()),
+            [(k, v.dtype, v.shape, v.tobytes()) for k, v in cache.values.items()])
+
+
+def _row_loop_cache(text, segment_seconds=1.0):
+    channels, labels, values = pipeline._read_rows(text)
+    return FeatureCache(segment_seconds=segment_seconds, channels=channels,
+                        bands=pipeline.BAND_NAMES, keys=tuple(sorted(values)),
+                        labels=labels, values=values)
+
+
+@pytest.mark.parametrize("source", ["small", "synthetic"])
+def test_cache_fast_path_matches_row_loop(small_cache, source):
+    cache = small_cache if source == "small" else synthetic_cache(np.random.default_rng(3))
+    text = "# config: {}\n# checksum: 0\n" + cache.to_csv_text()
+    assert pipeline._read_canonical(text) is not None
+    fast = FeatureCache.from_csv_text(text, 1.0)
+    assert _cache_parts(fast) == _cache_parts(_row_loop_cache(text))
+    assert _cache_parts(fast)[1:] == _cache_parts(cache)[1:]
+
+
+def _non_canonical(text, variant):
+    header, *rows = text.splitlines()
+    if variant == "rows shuffled":
+        random.Random(0).shuffle(rows)
+    elif variant == "comment after header":
+        rows.insert(0, "# a note")
+    elif variant == "blank line after header":
+        rows.insert(0, "")
+    elif variant == "session 01":
+        rows = [row.replace(",1,", ",01,", 1) for row in rows]
+    elif variant == "value leading space":
+        rows[0] = ", ".join(rows[0].rsplit(",", 1))
+    return "\n".join([header] + rows) + "\n"
+
+
+@pytest.mark.parametrize("variant", ["rows shuffled", "CRLF", "comment after header",
+                                     "blank line after header", "session 01",
+                                     "value leading space"])
+def test_non_canonical_cache_reads_as_row_loop(small_cache, variant):
+    text = small_cache.to_csv_text()
+    if variant == "CRLF":
+        text = text.replace("\n", "\r\n")
+    else:
+        text = _non_canonical(text, variant)
+    assert text != small_cache.to_csv_text()
+    if variant != "value leading space":  # `float` strips the space on either path
+        assert pipeline._read_canonical(text) is None
+    cache = FeatureCache.from_csv_text(text, 1.0)
+    assert _cache_parts(cache) == _cache_parts(_row_loop_cache(text))
+    # the row loop orders the channels by first appearance
+    assert cache.keys == small_cache.keys
+    assert sorted(cache.channels) == sorted(small_cache.channels)
+    assert all(np.array_equal(cache.values[k][cache.channel_index(c)],
+                              small_cache.values[k][small_cache.channel_index(c)])
+               for k in cache.keys for c in cache.channels)
+
+
+def test_cache_fast_path_does_not_need_the_row_loop(small_cache, monkeypatch):
+    def row_loop(text):
+        raise AssertionError("row loop called")
+
+    monkeypatch.setattr(pipeline, "_read_rows", row_loop)
+    text = small_cache.to_csv_text()
+    cache = FeatureCache.from_csv_text(text, small_cache.segment_seconds)
+    assert cache.to_csv_text() == text
+    # a row out of place leaves the fast path
+    header, first, second, *rest = text.splitlines()
+    with pytest.raises(AssertionError, match="row loop called"):
+        FeatureCache.from_csv_text("\n".join([header, second, first, *rest]) + "\n", 1.0)
+
+
+def test_cache_rows_of_a_hash_subject_are_comments(small_cache):
+    header, *rows = small_cache.to_csv_text().splitlines()
+    n_key = len(small_cache.channels) * len(small_cache.bands) * small_cache.n_segments
+    text = "\n".join([header] + ["#" + row for row in rows[:n_key]] + rows[n_key:]) + "\n"
+    cache = FeatureCache.from_csv_text(text, 1.0)
+    assert cache.keys == small_cache.keys[1:]
+    assert _cache_parts(cache) == _cache_parts(_row_loop_cache(text))
+
+
+def test_cache_row_of_a_bare_value_is_rejected(small_cache):
+    # a row without a comma would parse as a float if the fast path took it
+    header, *rows = small_cache.to_csv_text().splitlines()
+    rows[-1] = rows[-1].rsplit(",", 1)[1]
+    with pytest.raises(ValidationError, match="feature cache row"):
+        FeatureCache.from_csv_text("\n".join([header] + rows) + "\n", 1.0)
 
 
 def test_params_validation():

@@ -1,8 +1,12 @@
 """Usable-core count and the shared worker pool."""
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qeeg
 from qeeg import pool
 
 
@@ -34,3 +38,15 @@ def _set_state(value):
 def test_worker_pool_runs_the_initializer():
     with pool.worker_pool(1, _set_state, ("ready",)) as workers:
         assert workers.submit(_initialized).result(timeout=60) == "ready"
+
+
+def test_cli_import_leaves_the_pool_machinery_unloaded():
+    script = ("import sys\n"
+              "import qeeg.cli\n"
+              "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+              "             if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qeeg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

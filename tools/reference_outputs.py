@@ -7,7 +7,11 @@ OUT must be a new or empty directory.  The script writes a fixed spec to
 it, then runs synth, features, train, eval, search (at --parallelism 1 and
 2), connectivity, crossval, sweep and baseline there, each as
 `python -m qeeg.cli` with OUT as the working directory and relative paths,
-so nothing printed or written names OUT.  It prints each command line and
+so nothing printed or written names OUT.  After features it writes
+features/reordered.csv, the cache with its data rows in reverse order, and
+connectivity runs once more on it: the cache parser reads the file as
+written in one pass and a reordered one row by row, so both paths run.
+It prints each command line and
 its stdout, then one `sha256  relative/path` line per file under OUT
 (outputs and run manifests).
 
@@ -55,6 +59,8 @@ COMMANDS = [
      "--parallelism", "2", "--cache", "features/features.csv", "--out", "search2"],
     ["connectivity", "--data", "data", "--mode", "triple",
      "--cache", "features/features.csv", "--out", "connectivity"],
+    ["connectivity", "--data", "data", "--mode", "triple",
+     "--cache", "features/reordered.csv", "--out", "connectivity_reordered"],
     ["crossval", "--data", "data", *QUAD, "--k", "4", "--repeats", "5", "--seed", "9",
      "--out", "crossval"],
     # p = 99 fails, and its error row holds an escaped comma
@@ -62,6 +68,14 @@ COMMANDS = [
      "--out", "sweep"],
     ["baseline", "--data", "data", *QUAD, "--pc-threshold", "0.8", "--out", "baseline"],
 ]
+
+
+def write_reordered_cache(features: Path) -> None:
+    """features/reordered.csv: the `#` lines and the header of features.csv,
+    then its data rows in reverse order."""
+    lines = (features / "features.csv").read_text().splitlines(keepends=True)
+    n_head = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+    (features / "reordered.csv").write_text("".join(lines[:n_head] + lines[:n_head - 1:-1]))
 
 
 def main(argv) -> int:
@@ -86,6 +100,8 @@ def main(argv) -> int:
         if proc.returncode != 0:
             print(proc.stderr, end="", file=sys.stderr)
             return 1
+        if command[0] == "features":
+            write_reordered_cache(out / "features")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")
