@@ -68,10 +68,7 @@ def transform_real(model: RealPcaModel, x: np.ndarray) -> np.ndarray:
 
 def concatenated_features(cache: FeatureCache, keys, channels, band: str) -> np.ndarray:
     """Rows of Ch1||Ch2||Ch3||Ch4 band-power values, shape (len(keys), 4*N_s)."""
-    bi = cache.band_index(band)
-    cidx = [cache.channel_index(c) for c in channels]
-    return np.stack([np.concatenate([cache.values[k][ci, bi, :] for ci in cidx])
-                     for k in keys])
+    return cache.band_powers(keys, channels, band).reshape(len(keys), -1)
 
 
 def _evaluate_real(cache: FeatureCache, train_keys, test_keys, channels, band,

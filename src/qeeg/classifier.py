@@ -329,6 +329,8 @@ def cross_validate(features, labels, k: int, repeats: int = 1000, seed: int = 0,
         raise ParameterError(f"k={k} outside [2, {n}]")
     if repeats < 1:
         raise ParameterError("repeats must be >= 1")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
 
     repeat_scores = np.empty(repeats)
     fold_ids = []

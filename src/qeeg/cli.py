@@ -125,7 +125,10 @@ def _load_cache(args, segment_seconds: float) -> FeatureCache:
         path = Path(args.cache)
         if not path.is_file():
             raise ConfigError(f"--cache file not found: {path}")
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"--cache {path} is not text: {exc}") from None
         if text.startswith("# config: "):
             try:
                 cached_config = json.loads(text.split("\n", 1)[0][len("# config: "):])

@@ -123,7 +123,7 @@ def load_recording(manifest_path) -> EegRecording:
         raise ValidationError(f"manifest not found: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"malformed manifest {manifest_path}: {exc}") from None
     missing = [k for k in ("subject_id", "session_index", "label",
                            "sampling_rate_hz", "data_file") if k not in manifest]
@@ -133,7 +133,10 @@ def load_recording(manifest_path) -> EegRecording:
     data_path = manifest_path.parent / manifest["data_file"]
     if not data_path.is_file():
         raise ValidationError(f"data file not found: {data_path}")
-    text = data_path.read_text()
+    try:
+        text = data_path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"data file {data_path} is not text: {exc}") from None
     if not text:
         raise ValidationError(f"malformed header: {data_path} is empty")
     header_line, _, body = text.partition("\n")
@@ -339,6 +342,8 @@ class SynthSpec:
 
 def synthesize_dataset(spec: SynthSpec, seed: int) -> list:
     """Deterministic synthetic recordings: one per subject and session."""
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     n = round(spec.duration_seconds * spec.sampling_rate_hz)
     t = np.arange(n) / spec.sampling_rate_hz
     montage = (STANDARD_MONTAGE_NAME

@@ -2,15 +2,18 @@
 featurize -> embed -> QPCA -> project -> SVM -> metrics cycle.
 
 A FeatureCache holds relative band powers for every recording at one
-segmentation setting, keyed by (subject_id, session_index).  Everything
-downstream (search trials, sweeps, the baseline comparison, the CLI) reads
-from it, which keeps trials cheap and byte-reproducible.
+segmentation setting in one array, a row per (subject_id, session_index)
+key.  Everything downstream (search trials, sweeps, the baseline
+comparison, the CLI) reads from it, which keeps trials cheap and
+byte-reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from functools import cached_property
+from itertools import islice
+from typing import ClassVar
 
 import numpy as np
 
@@ -77,19 +80,25 @@ class PipelineParams:
 class FeatureCache:
     """Relative band powers for a recording set at one segmentation setting.
 
-    values[key] has shape (n_channels, n_bands, n_segments); keys are sorted
-    (subject_id, session_index) pairs."""
+    grid has shape (n_keys, n_channels, n_bands, n_segments) and its row r
+    holds the powers of keys[r]; keys are sorted (subject_id, session_index)
+    pairs and the bands are BAND_NAMES."""
+
+    bands: ClassVar[tuple] = BAND_NAMES
 
     segment_seconds: float
     channels: tuple
-    bands: tuple
     keys: tuple
     labels: dict
-    values: dict
+    grid: np.ndarray
 
     @property
     def n_segments(self) -> int:
-        return next(iter(self.values.values())).shape[2]
+        return self.grid.shape[3]
+
+    @cached_property
+    def _row_of(self) -> dict:
+        return {key: r for r, key in enumerate(self.keys)}
 
     @classmethod
     def from_recordings(cls, recordings, segment_seconds: float) -> "FeatureCache":
@@ -97,27 +106,24 @@ class FeatureCache:
         if not recordings:
             raise ValidationError("no recordings to featurize")
         channels = recordings[0].channel_labels
-        values, labels = {}, {}
-        n_segments = None
+        matrices, labels = [], {}
         for rec in recordings:
             if rec.channel_labels != channels:
                 raise ValidationError(
                     f"montage mismatch: {rec.subject_id} s{rec.session_index} has "
                     f"{rec.channel_labels}, expected {channels}")
             key = rec.key()
-            if key in values:
+            if key in labels:
                 raise ValidationError(f"duplicate recording key {key}")
             matrix = band_power_matrix(rec, segment_seconds)
-            if n_segments is None:
-                n_segments = matrix.shape[2]
-            elif matrix.shape[2] != n_segments:
+            if matrices and matrix.shape[2] != matrices[0].shape[2]:
                 raise ValidationError(
-                    f"segment count mismatch for {key}: {matrix.shape[2]} vs {n_segments}")
-            values[key] = matrix
+                    f"segment count mismatch for {key}: {matrix.shape[2]} vs "
+                    f"{matrices[0].shape[2]}")
+            matrices.append(matrix)
             labels[key] = rec.label
         return cls(segment_seconds=segment_seconds, channels=channels,
-                   bands=BAND_NAMES, keys=tuple(sorted(values)),
-                   labels=labels, values=values)
+                   keys=tuple(labels), labels=labels, grid=np.stack(matrices))
 
     def band_index(self, band: str) -> int:
         try:
@@ -134,29 +140,34 @@ class FeatureCache:
     def labels_pm1(self, keys) -> np.ndarray:
         return np.array([label_sign(self.labels[k]) for k in keys])
 
+    def band_powers(self, keys, channels, band: str) -> np.ndarray:
+        """Powers of one band for the given keys and channels, in their
+        order: shape (len(keys), len(channels), n_segments)."""
+        bi = self.band_index(band)
+        cidx = [self.channel_index(c) for c in channels]
+        rows = np.array([self._row_of[k] for k in keys], dtype=np.intp)
+        return self.grid[rows[:, None], cidx, bi]
+
     def vectors(self, keys, channels, band: str):
         """Quaternion rows for the given ordered channel tuple.
 
         Four channels embed as a full quaternion (Ch1 -> scalar part); three
         channels embed as a pure quaternion (scalar part zero)."""
-        bi = self.band_index(band)
-        cidx = [self.channel_index(c) for c in channels]
-        rows = np.stack([self.values[k][cidx, bi, :] for k in keys])  # (m, len(c), N_s)
-        if len(cidx) == 4:
+        rows = self.band_powers(keys, channels, band)  # (m, len(c), N_s)
+        if rows.shape[1] == 4:
             return qpca.embed_rows(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
-        if len(cidx) == 3:
+        if rows.shape[1] == 3:
             zero = np.zeros_like(rows[:, 0])
             return qpca.embed_rows(zero, rows[:, 0], rows[:, 1], rows[:, 2])
-        raise ParameterError(f"need 3 or 4 channels, got {len(cidx)}")
+        raise ParameterError(f"need 3 or 4 channels, got {rows.shape[1]}")
 
     # -- CSV cache file (subject_id, session_index, label, channel, band,
     #    segment_index, value) -----------------------------------------
 
     def to_csv_text(self) -> str:
-        n_segments = self.n_segments if self.values else 0
         prefixes = _row_prefixes(self.keys, self.labels, self.channels, self.bands,
-                                 n_segments)
-        values = chain.from_iterable(self.values[k].ravel().tolist() for k in self.keys)
+                                 self.n_segments)
+        values = self.grid.ravel().tolist()
         return CACHE_HEADER + "\n" + "".join(map("{}{!r}\n".format, prefixes, values))
 
     @classmethod
@@ -171,10 +182,9 @@ class FeatureCache:
         if not 0 < segment_seconds < np.inf:
             raise ParameterError(
                 f"segment_seconds must be positive and finite, got {segment_seconds}")
-        channels, labels, values = _read_canonical(text) or _read_rows(text)
+        channels, labels, grid = _read_canonical(text) or _read_rows(text)
         return cls(segment_seconds=segment_seconds, channels=channels,
-                   bands=BAND_NAMES, keys=tuple(sorted(values)),
-                   labels=labels, values=values)
+                   keys=tuple(sorted(labels)), labels=labels, grid=grid)
 
 
 def _row_prefixes(keys, labels, channels, bands, n_segments):
@@ -192,7 +202,7 @@ def _row_prefixes(keys, labels, channels, bands, n_segments):
 
 
 def _read_canonical(text: str):
-    """(channels, labels, values) of a cache in exactly the layout
+    """(channels, labels, grid) of a cache in exactly the layout
     `to_csv_text` writes, else None: ASCII text whose only line break is
     "\n", `#` lines, the header, then the rows of every key in strictly
     ascending key order, each row its canonical prefix (`_row_prefixes`)
@@ -248,14 +258,14 @@ def _read_canonical(text: str):
                            dtype=np.float64, count=n_rows)
     except ValueError:
         return None
-    grids = flat.reshape(len(keys), len(channels), len(BAND_NAMES), n_segments)
-    return tuple(channels), labels, dict(zip(keys, grids))
+    return (tuple(channels), labels,
+            flat.reshape(len(keys), len(channels), len(BAND_NAMES), n_segments))
 
 
 def _read_rows(text: str):
-    """(channels, labels, values) of a cache read row by row: rows in any
-    order, blank and `#` lines skipped anywhere.  Raises ValidationError
-    naming the first fault."""
+    """(channels, labels, grid) of a cache read row by row: rows in any
+    order, blank and `#` lines skipped anywhere, the grid rows in sorted
+    key order.  Raises ValidationError naming the first fault."""
     lines = [ln for ln in text.splitlines()
              if ln and not ln.startswith("#")]
     if not lines or lines[0] != CACHE_HEADER:
@@ -297,13 +307,13 @@ def _read_rows(text: str):
             raise ValidationError(
                 f"feature cache shape mismatch for {key}: {arr.shape} vs {shape}")
         values[key] = arr
+    grid = np.stack([values[key] for key in sorted(values)])
     # the grids are complete, so any further row is a repeat or off the grid
-    n_cells = sum(arr.size for arr in values.values())
-    if n_cells != len(lines) - 1:
+    if grid.size != len(lines) - 1:
         raise ValidationError(
-            f"feature cache has {len(lines) - 1} rows for {n_cells} cells: a row "
+            f"feature cache has {len(lines) - 1} rows for {grid.size} cells: a row "
             f"repeats a cell or names a band outside {BAND_NAMES}")
-    return tuple(channels), labels, values
+    return tuple(channels), labels, grid
 
 
 def rotation_class_key(channels) -> tuple:

@@ -111,15 +111,20 @@ def _periodogram(segments: np.ndarray, sampling_rate_hz: float):
     return freqs, psd
 
 
-def _band_fractions(psd: np.ndarray, freqs: np.ndarray, bands) -> np.ndarray:
-    """Stack of in-band power fractions, shape bands x psd.shape[:-1]."""
+def _band_fractions(psd: np.ndarray, freqs: np.ndarray, bands,
+                    channels=None) -> np.ndarray:
+    """Stack of in-band power fractions, shape bands x psd.shape[:-1].
+    `channels` names the rows of a (channels, segments, frequencies) psd in
+    the error for a segment without power."""
     total_mask = (freqs >= TOTAL_LOW_HZ) & (freqs < TOTAL_HIGH_HZ)
     total = psd[..., total_mask].sum(axis=-1)
     if np.any(total <= 0):
-        bad = np.argwhere(total <= 0)[0]
+        where = ""
+        if channels is not None:
+            ci, si = np.argwhere(total <= 0)[0].tolist()
+            where = f" at channel {channels[ci]!r}, segment {si}"
         raise DegenerateDataError(
-            f"zero total spectral power in 1-30 Hz at index {tuple(bad)} "
-            "(dead channel or dropout)")
+            f"zero total spectral power in 1-30 Hz{where} (dead channel or dropout)")
     out = []
     for band in bands:
         mask = (freqs >= band.low_hz) & (freqs < band.high_hz)
@@ -143,7 +148,8 @@ def band_power_matrix(recording: "EegRecording", segment_seconds: float,
     segs = segment(recording, segment_seconds)
     freqs, psd = _periodogram(segs, recording.sampling_rate_hz)
     try:
-        fractions = _band_fractions(psd, freqs, bands)  # (bands, channels, segments)
+        fractions = _band_fractions(psd, freqs, bands,  # (bands, channels, segments)
+                                    recording.channel_labels)
     except DegenerateDataError as exc:
         raise DegenerateDataError(f"{recording.subject_id} s{recording.session_index}: {exc}") from None
     return np.ascontiguousarray(np.moveaxis(fractions, 0, 1))

@@ -1,5 +1,6 @@
 """Shared fixtures: a small synthetic dataset with an alpha-band class
 difference, featurized once per session."""
+import numpy as np
 import pytest
 
 from qeeg.dataset import SynthSpec, session_split_keys, synthesize_dataset
@@ -39,12 +40,9 @@ def synthetic_cache(rng, channels=("A", "B", "C", "D", "E"), n_keys=12,
 
     keys = tuple((f"S{i:02d}", 1 + i % 6) for i in range(n_keys))
     labels = {k: ("AD" if i % 2 == 0 else "NonAD") for i, k in enumerate(keys)}
-    values = {}
-    for k in keys:
-        arr = rng.uniform(0.05, 0.95, (len(channels), len(BAND_NAMES), n_segments))
-        for c in constant_channels:
-            arr[channels.index(c)] = 0.25
-        values[k] = arr
+    grid = np.stack([rng.uniform(0.05, 0.95, (len(channels), len(BAND_NAMES), n_segments))
+                     for _ in keys])
+    for c in constant_channels:
+        grid[:, channels.index(c)] = 0.25
     return FeatureCache(segment_seconds=1.0, channels=tuple(channels),
-                        bands=BAND_NAMES, keys=tuple(sorted(keys)),
-                        labels=labels, values=values)
+                        keys=keys, labels=labels, grid=grid)

@@ -50,8 +50,19 @@ def test_concatenated_features_order(small_cache, small_keys):
     assert x.shape == (len(train), 4 * n_s)
     bi = small_cache.band_index("alpha")
     ci = small_cache.channel_index("T7")  # second channel of the quadruple
-    expected = small_cache.values[train[0]][ci, bi, :]
+    expected = small_cache.grid[small_cache.keys.index(train[0]), ci, bi, :]
     assert np.array_equal(x[0, n_s:2 * n_s], expected)
+
+
+def test_concatenated_features_match_the_per_key_concatenation(small_cache):
+    quad = ("T8", "F7", "P4", "F8")
+    keys = small_cache.keys
+    bi = small_cache.band_index("beta")
+    cidx = [small_cache.channel_index(c) for c in quad]
+    expected = np.stack([np.concatenate([small_cache.grid[r, ci, bi, :] for ci in cidx])
+                         for r in range(len(keys))])
+    x = concatenated_features(small_cache, keys, quad, "beta")
+    assert x.dtype == expected.dtype and np.array_equal(x, expected)
 
 
 def test_compare_produces_two_distinct_models(small_cache, small_keys):
@@ -76,20 +87,17 @@ def test_compare_produces_two_distinct_models(small_cache, small_keys):
 
 def test_compare_single_channel_mean_difference(small_cache, small_keys):
     # class difference in one channel's level: both arms find the linear cut
-    import copy
     from qeeg.pipeline import FeatureCache
 
     train, test = small_keys
     cache = FeatureCache(segment_seconds=small_cache.segment_seconds,
-                         channels=small_cache.channels, bands=small_cache.bands,
-                         keys=small_cache.keys, labels=small_cache.labels,
-                         values=copy.deepcopy(small_cache.values))
+                         channels=small_cache.channels, keys=small_cache.keys,
+                         labels=small_cache.labels, grid=small_cache.grid.copy())
     rng = np.random.default_rng(3)
-    for key in cache.keys:
+    for r, key in enumerate(cache.keys):
         base = 0.2 if cache.labels[key] == "AD" else 0.8
-        cache.values[key][:] = rng.uniform(0.4, 0.6, cache.values[key].shape)
-        cache.values[key][0, :, :] = base + rng.uniform(-0.05, 0.05,
-                                                        cache.values[key][0].shape)
+        cache.grid[r] = rng.uniform(0.4, 0.6, cache.grid[r].shape)
+        cache.grid[r, 0, :, :] = base + rng.uniform(-0.05, 0.05, cache.grid[r, 0].shape)
     out = compare(cache, train, test, ("F7", "F8", "T7", "T8"), "alpha",
                   PipelineParams(p_sweep_limit=5))
     assert out["qpca"]["acc"] == 100.0
@@ -99,7 +107,6 @@ def test_compare_single_channel_mean_difference(small_cache, small_keys):
 def test_compare_shuffled_labels_near_chance(small_cache, small_keys):
     # permutation-test oracle: destroy the labels, expect chance accuracy;
     # fixed p avoids the optimistic bias of a test-side p sweep
-    import copy
     from qeeg.pipeline import FeatureCache
 
     train, test = small_keys
@@ -109,9 +116,8 @@ def test_compare_shuffled_labels_near_chance(small_cache, small_keys):
         rng = np.random.default_rng(shuffle_seed)
         shuffled = dict(zip(small_cache.labels.keys(), rng.permutation(labels_list)))
         cache = FeatureCache(segment_seconds=small_cache.segment_seconds,
-                             channels=small_cache.channels, bands=small_cache.bands,
-                             keys=small_cache.keys, labels=shuffled,
-                             values=small_cache.values)
+                             channels=small_cache.channels, keys=small_cache.keys,
+                             labels=shuffled, grid=small_cache.grid)
         try:
             out = compare(cache, train, test, ("F8", "T7", "T8", "P4"), "alpha",
                           PipelineParams(p=4, p_sweep_limit=None))

@@ -300,6 +300,25 @@ def test_loader_reports_the_first_bad_recording(data_dir, tmp_path, monkeypatch,
     assert not (tmp_path / "feat").exists()
 
 
+def test_loader_reports_a_recording_that_is_not_text(data_dir, tmp_path, monkeypatch,
+                                                     capsys):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    bad = sorted(data.glob("*.csv"))[2]
+    bad.write_bytes(b"F7,F8,T7,T8,P4\n\xff\n")
+    errors = {}
+    for cores in (1, 2):
+        _pool_sizes(monkeypatch, cores)
+        rc = main(["features", "--data", str(data), "--out", str(tmp_path / "feat")])
+        errors[cores] = (rc, capsys.readouterr().err)
+    assert errors[1] == errors[2]
+    assert errors[1][0] == 1
+    assert errors[1][1].startswith(f"error: data file {bad} is not text: ")
+    assert not (tmp_path / "feat").exists()
+
+
 def test_recordings_from_the_pool_are_read_only(data_dir, monkeypatch):
     sizes = _pool_sizes(monkeypatch, 2)
     recordings = cli._load_recordings(str(data_dir))
@@ -413,6 +432,10 @@ BAD_COMMANDS = {  # argv, and the content of the file named {file}
     "connectivity_cache_segment_inf": (["connectivity", "--data", "{data}", "--mode", "triple",
                                         "--segment-seconds", "inf", "--cache", "{file}"],
                                        CONSTANT_CACHE),
+    "cache_not_utf8": (["connectivity", "--data", "{data}", "--mode", "triple",
+                        "--cache", "{file}"], b"\xff"),
+    "synth_seed_negative": (["synth", "--seed", "-1"], None),
+    "crossval_seed_negative": (["crossval", "--data", "{data}", *QUAD, "--seed", "-1"], None),
 }
 
 
@@ -420,7 +443,9 @@ BAD_COMMANDS = {  # argv, and the content of the file named {file}
 def test_bad_input_is_an_error_without_out_dir(data_dir, tmp_path, capsys,
                                                argv, content):
     bad = tmp_path / "input"
-    if content is not None:
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
         bad.write_text(content)
     argv = [arg.replace("{file}", str(bad)).replace("{data}", str(data_dir))
             for arg in argv]

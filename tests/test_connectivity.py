@@ -65,9 +65,7 @@ def test_identical_class_sets_have_zero_distance():
     # same vectors labeled both ways: class means coincide, Dist = 0
     rng = np.random.default_rng(2)
     cache = synthetic_cache(rng, n_keys=8)
-    vals = [cache.values[k] for k in cache.keys[:4]]
-    for i, k in enumerate(cache.keys[4:]):
-        cache.values[k][:] = vals[i]
+    cache.grid[4:] = cache.grid[:4]
     # relabel: first four AD, mirrored four NonAD
     for i, k in enumerate(cache.keys):
         cache.labels[k] = "AD" if i < 4 else "NonAD"
@@ -178,8 +176,7 @@ def test_report_aligns_bands_that_skip_different_tuples():
     rng = np.random.default_rng(6)
     cache = synthetic_cache(rng)
     alpha = cache.bands.index("alpha")
-    for key in cache.keys:
-        cache.values[key][:3, alpha] = 0.25
+    cache.grid[:, :3, alpha] = 0.25
     _, report = measure_connectivity(cache, cache.keys, "triple")
     assert report.skipped_by_band == {"delta": 0, "theta": 0, "alpha": 6, "beta": 0}
     assert report.tuples == tuple(permutations(cache.channels, 3))

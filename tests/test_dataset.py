@@ -99,6 +99,18 @@ def test_unpickled_recording_stays_read_only():
         back.samples[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("name,message", [("r.json", "malformed manifest {path}: "),
+                                          ("r.csv", "data file {path} is not text: ")])
+def test_load_names_a_file_that_is_not_text(tmp_path, name, message):
+    manifest = save_recording(small_recording(), tmp_path, stem="r")
+    path = tmp_path / name
+    path.write_bytes(path.read_bytes() + b"\xff")
+    with pytest.raises(ValidationError) as info:
+        load_recording(manifest)
+    assert str(info.value).startswith(message.format(path=path))
+    assert "can't decode byte 0xff" in str(info.value)
+
+
 BAD_BODIES = {
     "blank_row": ("1.0,2.0\n\n3.0,4.0\n", "ragged row 2 in {csv}: 0 values, expected 2"),
     "extra_field": ("1.0,2.0\n3.0,4.0,5.0\n", "ragged row 2 in {csv}: 3 values, expected 2"),

@@ -12,6 +12,7 @@ from qeeg.errors import ParameterError, ValidationError
 from qeeg.pipeline import (FeatureCache, PipelineParams, best_over_p, evaluate_quadruple,
                            evaluate_model, resolve_p, sweep_parameters, train_pipeline)
 from qeeg.search import enumerate_channel_tuples
+from qeeg.spectral import band_power_matrix
 
 
 def test_cache_structure(small_cache, small_dataset):
@@ -37,14 +38,41 @@ def test_cache_vectors_full_and_pure(small_cache):
         small_cache.vectors(keys, ("F7", "F8", "T7", "Nope"), "alpha")
 
 
+@pytest.mark.parametrize("channels", [("T8", "F7", "P4"), ("P4", "F8", "F7", "T7")])
+def test_cache_gathers_shuffled_keys_from_their_grid_rows(small_cache, channels):
+    keys = list(small_cache.keys[::2])
+    random.Random(5).shuffle(keys)
+    bi = small_cache.band_index("theta")
+    cidx = [small_cache.channel_index(c) for c in channels]
+    powers = small_cache.band_powers(keys, channels, "theta")
+    assert powers.shape == (len(keys), len(channels), small_cache.n_segments)
+    q = small_cache.vectors(keys, channels, "theta")
+    parts = (q.w, q.x, q.y, q.z)[4 - len(channels):]
+    for i, k in enumerate(keys):
+        expected = small_cache.grid[small_cache.keys.index(k)][cidx, bi]
+        assert np.array_equal(powers[i], expected)
+        assert all(np.array_equal(part[i], row) for part, row in zip(parts, expected))
+
+
+def test_cache_grid_is_in_sorted_key_order(small_dataset, small_cache):
+    recordings = list(small_dataset)
+    random.Random(11).shuffle(recordings)
+    cache = FeatureCache.from_recordings(recordings, 1.0)
+    by_key = sorted(small_dataset, key=lambda rec: rec.key())
+    assert cache.keys == tuple(rec.key() for rec in by_key)
+    expected = np.stack([band_power_matrix(rec, 1.0) for rec in by_key])
+    assert cache.grid.dtype == np.float64
+    assert np.array_equal(cache.grid, expected)
+    assert np.array_equal(cache.grid, small_cache.grid)
+
+
 def test_cache_csv_roundtrip(small_cache):
     text = small_cache.to_csv_text()
     back = FeatureCache.from_csv_text(text, small_cache.segment_seconds)
     assert back.keys == small_cache.keys
     assert back.channels == small_cache.channels
     assert back.labels == small_cache.labels
-    for k in small_cache.keys:
-        assert np.array_equal(back.values[k], small_cache.values[k])
+    assert np.array_equal(back.grid, small_cache.grid)
     # re-serialization is byte-identical (repr round-trip)
     assert back.to_csv_text() == text
 
@@ -86,14 +114,13 @@ def test_cache_csv_rejects_rows_off_the_grid(small_cache, defect):
 def _cache_parts(cache):
     """Everything a FeatureCache holds, dict orders and value bits included."""
     return (cache.keys, cache.channels, cache.bands, list(cache.labels.items()),
-            [(k, v.dtype, v.shape, v.tobytes()) for k, v in cache.values.items()])
+            cache.grid.dtype, cache.grid.shape, cache.grid.tobytes())
 
 
 def _row_loop_cache(text, segment_seconds=1.0):
-    channels, labels, values = pipeline._read_rows(text)
+    channels, labels, grid = pipeline._read_rows(text)
     return FeatureCache(segment_seconds=segment_seconds, channels=channels,
-                        bands=pipeline.BAND_NAMES, keys=tuple(sorted(values)),
-                        labels=labels, values=values)
+                        keys=tuple(sorted(labels)), labels=labels, grid=grid)
 
 
 @pytest.mark.parametrize("source", ["small", "synthetic"])
@@ -138,9 +165,9 @@ def test_non_canonical_cache_reads_as_row_loop(small_cache, variant):
     # the row loop orders the channels by first appearance
     assert cache.keys == small_cache.keys
     assert sorted(cache.channels) == sorted(small_cache.channels)
-    assert all(np.array_equal(cache.values[k][cache.channel_index(c)],
-                              small_cache.values[k][small_cache.channel_index(c)])
-               for k in cache.keys for c in cache.channels)
+    assert all(np.array_equal(cache.grid[r, cache.channel_index(c)],
+                              small_cache.grid[r, small_cache.channel_index(c)])
+               for r in range(len(cache.keys)) for c in cache.channels)
 
 
 def test_cache_fast_path_does_not_need_the_row_loop(small_cache, monkeypatch):
@@ -307,4 +334,4 @@ def test_sweep_rejects_empty_grid(small_dataset, small_keys):
 def test_synthetic_cache_helper():
     rng = np.random.default_rng(0)
     cache = synthetic_cache(rng, constant_channels=("E",))
-    assert np.all(cache.values[cache.keys[0]][4] == 0.25)
+    assert np.all(cache.grid[0, 4] == 0.25)

@@ -74,6 +74,16 @@ def test_zero_segment_is_degenerate():
         relative_band_power(np.zeros(250), 250.0, band_by_name("alpha"))
 
 
+def test_flat_channel_is_named_in_the_error():
+    samples = np.vstack([tone(10.0, seconds=3.0), tone(10.0, seconds=3.0)])
+    samples[1, 250:] = 0.0  # F8 is flat from its second segment on
+    rec = make_recording(samples, labels=("F7", "F8"), subject="S07", session=2)
+    with pytest.raises(DegenerateDataError) as info:
+        band_power_matrix(rec, 1.0)
+    assert str(info.value) == ("S07 s2: zero total spectral power in 1-30 Hz at channel "
+                               "'F8', segment 1 (dead channel or dropout)")
+
+
 def test_white_noise_band_ratios():
     # flat spectrum: relative powers approach bandwidth fractions of [1, 30)
     rng = np.random.default_rng(42)

@@ -9,11 +9,11 @@ it, then runs synth, features, train, eval, search (at --parallelism 1 and
 `python -m qeeg.cli` with OUT as the working directory and relative paths,
 so nothing printed or written names OUT.  After features it writes
 features/reordered.csv, the cache with its data rows in reverse order, and
-connectivity runs once more on it: the cache parser reads the file as
-written in one pass and a reordered one row by row, so both paths run.
-It prints each command line and
-its stdout, then one `sha256  relative/path` line per file under OUT
-(outputs and run manifests).
+connectivity and baseline run once more on it: the cache parser reads the
+file as written in one pass and a reordered one row by row, so both paths
+run, and baseline takes its features from the grid of each.  It prints each
+command line and its stdout, then one `sha256  relative/path` line per file
+under OUT (outputs and run manifests).
 
 qeeg comes from PYTHONPATH, so the same script run against another checkout
 (`PYTHONPATH=other/src`) gives a listing to diff with this one: a change
@@ -67,6 +67,8 @@ COMMANDS = [
     ["sweep", "--data", "data", *QUAD, "--axis", "pcs", "--values", "1,2,99",
      "--out", "sweep"],
     ["baseline", "--data", "data", *QUAD, "--pc-threshold", "0.8", "--out", "baseline"],
+    ["baseline", "--data", "data", *QUAD, "--pc-threshold", "0.8",
+     "--cache", "features/reordered.csv", "--out", "baseline_reordered"],
 ]
 
 
