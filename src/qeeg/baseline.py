@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateDataError, ShapeError
 from .pipeline import (FeatureCache, PipelineParams, TrialOutcome, best_over_p,
-                       evaluate_quadruple, resolve_p)
+                       evaluate_quadruple, fit_pca)
 from .qpca import select_components
 
 __all__ = ["RealPcaModel", "fit_real_pca", "transform_real",
@@ -75,11 +75,10 @@ def _evaluate_real(cache: FeatureCache, train_keys, test_keys, channels, band,
                    params: PipelineParams) -> TrialOutcome:
     x_train = concatenated_features(cache, train_keys, channels, band)
     x_test = concatenated_features(cache, test_keys, channels, band)
-    fit_p, candidates = resolve_p(params, min(x_train.shape))
-    model = fit_real_pca(x_train, p=fit_p, energy_threshold=params.p_threshold)
+    model, candidates = fit_pca(fit_real_pca, x_train, params)
     return best_over_p(transform_real(model, x_train), cache.labels_pm1(train_keys),
                        transform_real(model, x_test), cache.labels_pm1(test_keys),
-                       candidates or [model.p], params.svm_c)
+                       candidates, params.svm_c)
 
 
 def compare(cache: FeatureCache, train_keys, test_keys, quadruple, band: str,

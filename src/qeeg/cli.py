@@ -24,8 +24,8 @@ from .classifier import LinearSvmModel, cross_validate
 from .dataset import (SynthSpec, load_recording, save_recording, session_split_keys,
                       synthesize_dataset)
 from .errors import ConfigError, QeegError
-from .pipeline import (FeatureCache, PipelineParams, evaluate_model, resolve_p,
-                       sweep_parameters, train_pipeline)
+from .pipeline import (SWEEP_AXES, FeatureCache, PipelineParams, evaluate_model,
+                       fit_pca, sweep_parameters, train_pipeline)
 from .pool import usable_cores, worker_pool
 from .qpca import ChannelQuadruple, QpcaModel
 from .spectral import BAND_NAMES
@@ -335,8 +335,7 @@ def cmd_crossval(args) -> int:
     cache = _load_cache(args, args.segment_seconds)
     keys = list(cache.keys)
     vectors = cache.vectors(keys, quadruple, args.band)
-    fit_p, _ = resolve_p(params, min(vectors.shape))
-    model = qpca.fit(vectors, p=fit_p, energy_threshold=params.p_threshold)
+    model, _ = fit_pca(qpca.fit, vectors, params)
     feats = qpca.project(qpca.transform(model, vectors), params.projection)
     result = cross_validate(feats, cache.labels_pm1(keys), k=args.k,
                             repeats=args.repeats, seed=args.seed,
@@ -357,7 +356,7 @@ def cmd_sweep(args) -> int:
     params = _params_from_args(args, sweeps=True)
     axis = {"segment": "segment_seconds", "projection": "projection",
             "pcs": "p"}[args.axis]
-    parse = {"projection": str, "p": int, "segment_seconds": float}[axis]
+    parse = SWEEP_AXES[axis]
     try:
         values = [parse(v) for v in args.values.split(",")]
     except ValueError:

@@ -18,18 +18,20 @@ from typing import ClassVar
 import numpy as np
 
 from . import qpca
-from .classifier import (ConfusionCounts, MetricsResult, confusion, metrics, svm_fit,
-                         svm_fit_prefixes, svm_predict, svm_predict_prefixes)
+from .classifier import (MetricsResult, confusion, metrics, svm_fit, svm_fit_prefixes,
+                         svm_predict, svm_predict_prefixes)
 from .dataset import _OTHER_LINE_BREAKS, LABELS
 from .errors import ParameterError, ValidationError
 from .spectral import BAND_NAMES, band_power_matrix
 
 __all__ = ["PipelineParams", "FeatureCache", "TrialOutcome", "rotation_class_key",
-           "rotation_classes", "resolve_p", "best_over_p", "evaluate_quadruple",
-           "train_pipeline", "evaluate_model", "sweep_parameters"]
+           "rotation_classes", "fit_pca", "best_over_p", "evaluate_quadruple",
+           "train_pipeline", "evaluate_model", "SWEEP_AXES", "sweep_parameters"]
 
 POSITIVE_LABEL = "AD"  # a true positive is a correctly detected AD sample
 CACHE_HEADER = "subject_id,session_index,label,channel,band,segment_index,value"
+# the PipelineParams fields a sweep varies, and the parser of each grid value
+SWEEP_AXES = {"segment_seconds": float, "projection": str, "p": int}
 
 
 def label_sign(label: str) -> float:
@@ -38,11 +40,8 @@ def label_sign(label: str) -> float:
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Resolved trial parameters.
-
-    Component count resolution order: fixed `p` when given, otherwise a
-    best-accuracy sweep over 1..p_sweep_limit when set, otherwise the
-    eigenvalue-energy threshold."""
+    """Resolved trial parameters; `fit_pca` turns `p`, `p_sweep_limit` and
+    `p_threshold` into a component count."""
 
     segment_seconds: float = 1.0
     projection: str = "mean"
@@ -66,9 +65,6 @@ class PipelineParams:
             raise ParameterError(f"svm_c must be positive and finite, got {self.svm_c}")
         if not np.isfinite(self.segment_seconds):
             raise ParameterError(f"segment_seconds must be finite, got {self.segment_seconds}")
-
-    def with_(self, **kw) -> "PipelineParams":
-        return replace(self, **kw)
 
     def to_json(self) -> dict:
         return {"segment_seconds": self.segment_seconds, "projection": self.projection,
@@ -377,35 +373,29 @@ class TrialOutcome:
         return out
 
 
-def resolve_p(params: PipelineParams, p_max: int):
-    """(fit_p, candidate list) under the resolution order of PipelineParams;
-    both are None when the energy threshold decides inside the fit.  The fit
-    rejects a fixed p above p_max."""
-    if params.p is not None:
-        return params.p, [params.p]
-    if params.p_sweep_limit is not None:
-        limit = min(params.p_sweep_limit, p_max)
-        return limit, list(range(1, limit + 1))
-    return None, None
+def fit_pca(fit, rows, params: PipelineParams):
+    """(model, candidates): `fit` (`qpca.fit` or `baseline.fit_real_pca`) on
+    the training rows, and the component counts a trial scores.  A fixed `p`
+    comes first: the fit keeps p components, rejecting a p above
+    min(rows.shape), and [p] is scored.  Otherwise a sweep limit fits
+    min(p_sweep_limit, *rows.shape) components and 1..that count are scored
+    (`best_over_p`).  Otherwise the eigenvalue-energy threshold picks p in
+    the fit, and [p] is scored."""
+    sweep = params.p is None and params.p_sweep_limit is not None
+    model = fit(rows, p=min(params.p_sweep_limit, *rows.shape) if sweep else params.p,
+                energy_threshold=params.p_threshold)
+    return model, list(range(1, model.p + 1)) if sweep else [model.p]
 
 
 def best_over_p(train_feats, y_train, test_feats, y_test, candidates,
                 svm_c: float) -> TrialOutcome:
     """One SVM per candidate p on the leading p feature columns, trained in
-    lockstep and scored in one pass; the best test accuracy wins (ties
-    resolve to the smallest component count)."""
+    lockstep and scored in one pass; the most test hits win (ties resolve to
+    the smallest component count)."""
     models = svm_fit_prefixes(train_feats, y_train, candidates, regularization_c=svm_c)
-    pred = svm_predict_prefixes(models, test_feats) > 0  # (P, n_test)
-    pos = np.asarray(y_test) > 0
-    tp, fp = (pred & pos).sum(axis=1), (pred & ~pos).sum(axis=1)
-    fn, tn = pos.sum() - tp, (~pos).sum() - fp
-    accs = [100.0 * hits / len(pos) if len(pos) else -1.0 for hits in (tp + tn).tolist()]
-    best = 0
-    for k, acc in enumerate(accs):
-        if acc > accs[best] + 1e-12:
-            best = k
-    m = metrics(ConfusionCounts(tp=int(tp[best]), tn=int(tn[best]), fp=int(fp[best]),
-                                fn=int(fn[best])))
+    pred = svm_predict_prefixes(models, test_feats)  # (P, n_test)
+    best = int(np.argmax((pred == y_test).sum(axis=1)))
+    m = metrics(confusion(y_test, pred[best]))
     return TrialOutcome(acc=m.acc, sen=m.sen, spe=m.spe, p_used=candidates[best], result=m)
 
 
@@ -415,24 +405,21 @@ def evaluate_quadruple(cache: FeatureCache, train_keys, test_keys, quadruple,
     channels = tuple(quadruple)
     q_train = cache.vectors(train_keys, channels, band)
     q_test = cache.vectors(test_keys, channels, band)
-    fit_p, candidates = resolve_p(params, min(q_train.shape))
-    model = qpca.fit(q_train, p=fit_p, energy_threshold=params.p_threshold)
+    model, candidates = fit_pca(qpca.fit, q_train, params)
     train_feats = qpca.project(qpca.transform(model, q_train), params.projection)
     test_feats = qpca.project(qpca.transform(model, q_test), params.projection)
     return best_over_p(train_feats, cache.labels_pm1(train_keys),
-                       test_feats, cache.labels_pm1(test_keys),
-                       candidates or [model.p], params.svm_c)
+                       test_feats, cache.labels_pm1(test_keys), candidates, params.svm_c)
 
 
 def train_pipeline(cache: FeatureCache, train_keys, quadruple, band: str,
                    params: PipelineParams):
-    """Fit QPCA + SVM on the training keys at a resolved component count
-    (fixed p or energy threshold; no test-side sweep)."""
+    """Fit QPCA + SVM on the training keys at the component count `fit_pca`
+    fits (one model: no test-side choice among the candidates)."""
     channels = tuple(quadruple)
     q_train = cache.vectors(train_keys, channels, band)
-    fit_p, _ = resolve_p(params, min(q_train.shape))
-    model = replace(qpca.fit(q_train, p=fit_p, energy_threshold=params.p_threshold),
-                    band=band, quadruple=qpca.ChannelQuadruple(channels),
+    model, _ = fit_pca(qpca.fit, q_train, params)
+    model = replace(model, band=band, quadruple=qpca.ChannelQuadruple(channels),
                     segment_seconds=cache.segment_seconds, projection=params.projection)
     feats = qpca.project(qpca.transform(model, q_train), params.projection)
     svm = svm_fit(feats, cache.labels_pm1(train_keys), regularization_c=params.svm_c)
@@ -450,39 +437,32 @@ def evaluate_model(model, svm, cache: FeatureCache, keys) -> MetricsResult:
 
 def sweep_parameters(recordings, train_keys, test_keys, quadruple, band: str,
                      axis: str, values, base=None) -> list:
-    """One full train/evaluate cycle per grid value along a single axis
-    (``segment_seconds``, ``projection`` or ``p``); failed grid points are
-    reported, not raised."""
+    """One full train/evaluate cycle per grid value along a single axis of
+    `SWEEP_AXES`, each point `base` with that field set to the parsed value;
+    failed grid points are reported, not raised."""
     params = base if base is not None else PipelineParams()
-    if axis not in ("segment_seconds", "projection", "p"):
+    if axis not in SWEEP_AXES:
         raise ParameterError(f"unknown sweep axis {axis!r}")
     values = list(values)
     if not values:
         raise ParameterError("empty sweep grid")
 
-    rows = []
     cache = None
     if axis != "segment_seconds":
         cache = FeatureCache.from_recordings(recordings, params.segment_seconds)
+    rows = []
     for value in values:
-        point = params
+        row = {"axis": axis, "value": value, "acc": None, "sen": None, "spe": None,
+               "p_used": None, "error": None}
         try:
-            if axis == "segment_seconds":
-                point = params.with_(segment_seconds=float(value))
-                point_cache = FeatureCache.from_recordings(recordings, float(value))
-            else:
-                point_cache = cache
-                if axis == "projection":
-                    point = params.with_(projection=str(value))
-                else:
-                    point = params.with_(p=int(value), p_sweep_limit=None)
+            point = replace(params, **{axis: SWEEP_AXES[axis](value)})
+            point_cache = cache or FeatureCache.from_recordings(recordings,
+                                                                point.segment_seconds)
             outcome = evaluate_quadruple(point_cache, train_keys, test_keys, quadruple,
                                          band, point)
-            rows.append({"axis": axis, "value": value, "acc": outcome.acc,
-                         "sen": outcome.sen, "spe": outcome.spe,
-                         "p_used": outcome.p_used, "error": None})
+            row.update(acc=outcome.acc, sen=outcome.sen, spe=outcome.spe,
+                       p_used=outcome.p_used)
         except Exception as exc:  # noqa: BLE001 - per-point failures are data
-            rows.append({"axis": axis, "value": value, "acc": None, "sen": None,
-                         "spe": None, "p_used": None,
-                         "error": f"{type(exc).__name__}: {exc}"})
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
     return rows

@@ -1,5 +1,6 @@
 """Feature cache and single-trial pipeline tests."""
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from qeeg.classifier import (confusion, metrics, svm_fit, svm_fit_prefixes, svm_
                              svm_predict_prefixes)
 from qeeg.errors import ParameterError, ValidationError
 from qeeg.pipeline import (FeatureCache, PipelineParams, best_over_p, evaluate_quadruple,
-                           evaluate_model, resolve_p, sweep_parameters, train_pipeline)
+                           evaluate_model, fit_pca, sweep_parameters, train_pipeline)
 from qeeg.search import enumerate_channel_tuples
 from qeeg.spectral import band_power_matrix
 
@@ -211,7 +212,7 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         PipelineParams(p_threshold=1.5)
     base = PipelineParams()
-    assert base.with_(p=3).p == 3
+    assert replace(base, p=3).p == 3
 
 
 def test_evaluate_quadruple_separates_classes(small_cache, small_keys):
@@ -268,8 +269,7 @@ def test_lockstep_sweep_matches_fit_per_prefix(small_cache, small_keys, limit):
     for quad in enumerate_channel_tuples(small_cache.channels, 4, ordered=True):
         q_train = small_cache.vectors(train, quad, "alpha")
         q_test = small_cache.vectors(test, quad, "alpha")
-        fit_p, candidates = resolve_p(PipelineParams(p_sweep_limit=limit), min(q_train.shape))
-        model = qpca.fit(q_train, p=fit_p)
+        model, candidates = fit_pca(qpca.fit, q_train, PipelineParams(p_sweep_limit=limit))
         train_feats = qpca.project(qpca.transform(model, q_train), "mean")
         test_feats = qpca.project(qpca.transform(model, q_test), "mean")
 
