@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _GAP_CHECK_EVERY = 32
+_GAP_TOL = 1e-6  # an SVM has converged when its duality gap is at most this
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,15 +91,17 @@ def _validated(features, labels, regularization_c: float):
     return x, y, float(regularization_c)
 
 
-def svm_fit(features, labels, regularization_c: float = 1.0, tol: float = 1e-6,
+def svm_fit(features, labels, regularization_c: float = 1.0, tol: float = _GAP_TOL,
             max_iter: int = 200_000) -> LinearSvmModel:
-    """Train a soft-margin linear SVM to duality gap <= tol."""
+    """Train a soft-margin linear SVM to duality gap <= tol.  No caller sets
+    tol; it stays an argument because perfbench/child.py reads it to count
+    unconverged fits."""
     x, y, c = _validated(features, labels, regularization_c)
     return _smo(x, y, [x.shape[1]], c, tol, max_iter)[0]
 
 
 def svm_fit_prefixes(features, labels, widths, regularization_c: float = 1.0,
-                     tol: float = 1e-6, max_iter: int = 200_000) -> list:
+                     max_iter: int = 200_000) -> list:
     """One SVM per width p, on the leading p feature columns, all trained in
     one lockstep solver.  Model k is the one `svm_fit(features[:, :p_k], ...)`
     trains, up to rounding."""
@@ -106,7 +109,7 @@ def svm_fit_prefixes(features, labels, widths, regularization_c: float = 1.0,
     widths = [int(p) for p in widths]
     if not widths or not all(1 <= p <= x.shape[1] for p in widths):
         raise ParameterError(f"widths {widths} outside [1, {x.shape[1]}]")
-    return _smo(x, y, widths, c, tol, max_iter)
+    return _smo(x, y, widths, c, _GAP_TOL, max_iter)
 
 
 def _smo(x: np.ndarray, y: np.ndarray, widths, c: float, tol: float,

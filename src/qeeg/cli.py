@@ -264,6 +264,11 @@ def _load_model(path: Path):
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"--model {path} is not a qeeg train model: "
                           f"{type(exc).__name__}: {exc}") from None
+    unset = [name for name in ("band", "quadruple", "segment_seconds", "projection")
+             if getattr(model, name) is None]
+    if unset:
+        raise ConfigError(f"--model {path} is not a qeeg train model: "
+                          f"qpca has no {', '.join(unset)}")
     return model, svm
 
 

@@ -125,10 +125,19 @@ def load_recording(manifest_path) -> EegRecording:
         manifest = json.loads(manifest_path.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"malformed manifest {manifest_path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"manifest {manifest_path} is not a JSON object")
     missing = [k for k in ("subject_id", "session_index", "label",
                            "sampling_rate_hz", "data_file") if k not in manifest]
     if missing:
         raise ValidationError(f"manifest {manifest_path} missing keys {missing}")
+    for key, types, kind in (("session_index", int, "an integer"),
+                             ("sampling_rate_hz", (int, float), "a number"),
+                             ("data_file", str, "a string")):
+        value = manifest[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValidationError(
+                f"manifest {manifest_path}: {key} must be {kind}, got {value!r}")
 
     data_path = manifest_path.parent / manifest["data_file"]
     if not data_path.is_file():
@@ -173,7 +182,7 @@ def load_recording(manifest_path) -> EegRecording:
 
     return EegRecording(
         subject_id=str(manifest["subject_id"]),
-        session_index=int(manifest["session_index"]),
+        session_index=manifest["session_index"],
         label=str(manifest["label"]),
         sampling_rate_hz=float(manifest["sampling_rate_hz"]),
         channel_labels=tuple(header),

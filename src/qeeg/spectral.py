@@ -142,13 +142,12 @@ def relative_band_power(segment_values: np.ndarray, sampling_rate_hz: float,
     return float(_band_fractions(psd, freqs, (band,))[0])
 
 
-def band_power_matrix(recording: "EegRecording", segment_seconds: float,
-                      bands=DEFAULT_BANDS) -> np.ndarray:
-    """Relative band powers, shape (channels, len(bands), n_segments)."""
+def band_power_matrix(recording: "EegRecording", segment_seconds: float) -> np.ndarray:
+    """Relative band powers in DEFAULT_BANDS, shape (channels, bands, n_segments)."""
     segs = segment(recording, segment_seconds)
     freqs, psd = _periodogram(segs, recording.sampling_rate_hz)
     try:
-        fractions = _band_fractions(psd, freqs, bands,  # (bands, channels, segments)
+        fractions = _band_fractions(psd, freqs, DEFAULT_BANDS,  # (bands, channels, segments)
                                     recording.channel_labels)
     except DegenerateDataError as exc:
         raise DegenerateDataError(f"{recording.subject_id} s{recording.session_index}: {exc}") from None

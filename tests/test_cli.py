@@ -112,6 +112,27 @@ def test_eval_band_mismatch_is_config_error(data_dir, tmp_path, capsys):
     assert "does not match model band" in capsys.readouterr().err
 
 
+# a model without its quadruple, and one whose segment length is null
+@pytest.mark.parametrize("field,delete", [("quadruple", True), ("segment_seconds", False)])
+def test_eval_rejects_an_incomplete_model(data_dir, tmp_path, capsys, field, delete):
+    model_dir = tmp_path / "model"
+    assert main(["train", "--data", str(data_dir), "--band", "alpha",
+                 "--channels", "F8,T7,T8,P4", "--pcs", "2", "--out", str(model_dir)]) == 0
+    path = model_dir / "model.json"
+    doc = json.loads(path.read_text())
+    if delete:
+        del doc["data"]["qpca"][field]
+    else:
+        doc["data"]["qpca"][field] = None
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(path), "--data", str(data_dir),
+               "--out", str(tmp_path / "eval")])
+    assert (rc, capsys.readouterr().err) == (
+        1, f"error: --model {path} is not a qeeg train model: qpca has no {field}\n")
+    assert not (tmp_path / "eval").exists()
+
+
 def test_search_parallelism_byte_identical(data_dir, tmp_path):
     out1 = tmp_path / "s1"
     out8 = tmp_path / "s8"
@@ -297,6 +318,24 @@ def test_loader_reports_the_first_bad_recording(data_dir, tmp_path, monkeypatch,
         errors[cores] = (rc, capsys.readouterr().err)
     assert errors[1] == errors[2]
     assert errors[1] == (1, f"error: ragged row 2001 in {csvs[3]}: 1 values, expected 5\n")
+    assert not (tmp_path / "feat").exists()
+
+
+def test_loader_reports_a_bad_manifest_value(data_dir, tmp_path, monkeypatch, capsys):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    manifest = sorted(p for p in data.glob("*.json")
+                      if not p.name.endswith("_manifest.json"))[2]
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "session_index": "x"}))
+    errors = {}
+    for cores in (1, 2):
+        _pool_sizes(monkeypatch, cores)
+        rc = main(["features", "--data", str(data), "--out", str(tmp_path / "feat")])
+        errors[cores] = (rc, capsys.readouterr().err)
+    assert errors[1] == errors[2] == (
+        1, f"error: manifest {manifest}: session_index must be an integer, got 'x'\n")
     assert not (tmp_path / "feat").exists()
 
 

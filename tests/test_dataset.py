@@ -111,6 +111,31 @@ def test_load_names_a_file_that_is_not_text(tmp_path, name, message):
     assert "can't decode byte 0xff" in str(info.value)
 
 
+BAD_MANIFESTS = {  # the manifest's JSON value, and its error after "manifest PATH"
+    "not_an_object": (5, " is not a JSON object"),
+    "session_index_text": ({"session_index": "x"},
+                           ": session_index must be an integer, got 'x'"),
+    "session_index_fraction": ({"session_index": 1.7},
+                               ": session_index must be an integer, got 1.7"),
+    "session_index_bool": ({"session_index": True},
+                           ": session_index must be an integer, got True"),
+    "sampling_rate_text": ({"sampling_rate_hz": "fast"},
+                           ": sampling_rate_hz must be a number, got 'fast'"),
+    "data_file_number": ({"data_file": 5}, ": data_file must be a string, got 5"),
+}
+
+
+@pytest.mark.parametrize("change,message", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS)
+def test_load_names_the_bad_manifest_key(tmp_path, change, message):
+    manifest = save_recording(small_recording(), tmp_path, stem="r")
+    if isinstance(change, dict):
+        change = {**json.loads(manifest.read_text()), **change}
+    manifest.write_text(json.dumps(change))
+    with pytest.raises(ValidationError) as info:
+        load_recording(manifest)
+    assert str(info.value) == f"manifest {manifest}{message}"
+
+
 BAD_BODIES = {
     "blank_row": ("1.0,2.0\n\n3.0,4.0\n", "ragged row 2 in {csv}: 0 values, expected 2"),
     "extra_field": ("1.0,2.0\n3.0,4.0,5.0\n", "ragged row 2 in {csv}: 3 values, expected 2"),

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import synthetic_cache
 from qeeg import pipeline, qpca
+from qeeg.baseline import concatenated_features, fit_real_pca
 from qeeg.classifier import (confusion, metrics, svm_fit, svm_fit_prefixes, svm_predict,
                              svm_predict_prefixes)
 from qeeg.errors import ParameterError, ValidationError
@@ -215,6 +216,45 @@ def test_params_validation():
     assert replace(base, p=3).p == 3
 
 
+def _pca_rows(fit, cache, keys):
+    """Training rows of one quadruple for `fit`: quaternion rows for QPCA,
+    concatenated real rows for the real-PCA baseline."""
+    quad = ("F8", "T7", "T8", "P4")
+    if fit is qpca.fit:
+        return cache.vectors(keys, quad, "alpha")
+    return concatenated_features(cache, keys, quad, "alpha")
+
+
+PCA_FITS = pytest.mark.parametrize("fit", [qpca.fit, fit_real_pca], ids=["qpca", "real_pca"])
+
+
+@PCA_FITS
+def test_fit_pca_fixed_p(small_cache, small_keys, fit):
+    rows = _pca_rows(fit, small_cache, small_keys[0])
+    model, candidates = fit_pca(fit, rows, PipelineParams(p=3))
+    assert (model.p, candidates) == (3, [3])
+    with pytest.raises(ParameterError):
+        fit_pca(fit, rows, PipelineParams(p=min(rows.shape) + 1))
+
+
+@PCA_FITS
+def test_fit_pca_clamps_the_sweep_limit(small_cache, small_keys, fit):
+    rows = _pca_rows(fit, small_cache, small_keys[0])
+    p_max = min(rows.shape)
+    model, candidates = fit_pca(fit, rows, PipelineParams(p_sweep_limit=p_max + 5))
+    assert (model.p, candidates) == (p_max, list(range(1, p_max + 1)))
+    model, candidates = fit_pca(fit, rows, PipelineParams(p_sweep_limit=3))
+    assert (model.p, candidates) == (3, [1, 2, 3])
+
+
+@PCA_FITS
+def test_fit_pca_energy_threshold(small_cache, small_keys, fit):
+    rows = _pca_rows(fit, small_cache, small_keys[0])
+    model, candidates = fit_pca(fit, rows, PipelineParams(p_sweep_limit=None, p_threshold=0.99))
+    expected = qpca.select_components(model.eigenvalues, None, 0.99, *rows.shape)
+    assert expected > 1 and (model.p, candidates) == (expected, [expected])
+
+
 def test_evaluate_quadruple_separates_classes(small_cache, small_keys):
     train, test = small_keys
     out = evaluate_quadruple(small_cache, train, test, ("F8", "T7", "T8", "P4"),
@@ -312,6 +352,16 @@ def test_sweep_p_axis(small_dataset, small_keys):
     rows = sweep_parameters(small_dataset, *small_keys, ("F8", "T7", "T8", "P4"),
                             "alpha", "p", [1, 2, 3, 4])
     assert [r["p_used"] for r in rows] == [1, 2, 3, 4]
+
+
+def test_sweep_p_axis_ignores_the_sweep_limit(small_dataset, small_keys):
+    # a fixed p comes before the sweep limit, so the default limit of 20
+    # changes no grid point, the failing p = 99 included
+    rows = [sweep_parameters(small_dataset, *small_keys, ("F8", "T7", "T8", "P4"),
+                             "alpha", "p", [1, 3, 99], base=base)
+            for base in (PipelineParams(), PipelineParams(p_sweep_limit=None))]
+    assert rows[0] == rows[1]
+    assert [r["p_used"] for r in rows[0]] == [1, 3, None]
 
 
 def test_sweep_bad_point_is_reported_not_raised(small_dataset, small_keys):

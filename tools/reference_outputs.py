@@ -7,13 +7,17 @@ OUT must be a new or empty directory.  The script writes a fixed spec to
 it, then runs synth, features, train, eval, search (at --parallelism 1 and
 2), connectivity, crossval, sweep and baseline there, each as
 `python -m qeeg.cli` with OUT as the working directory and relative paths,
-so nothing printed or written names OUT.  After features it writes
-features/reordered.csv, the cache with its data rows in reverse order, and
-connectivity and baseline run once more on it: the cache parser reads the
-file as written in one pass and a reordered one row by row, so both paths
-run, and baseline takes its features from the grid of each.  It prints each
-command line and its stdout, then one `sha256  relative/path` line per file
-under OUT (outputs and run manifests).
+so nothing printed or written names OUT.  Every branch of the p rule
+(`pipeline.fit_pca`) runs: train at a fixed p and at an energy threshold,
+baseline at a threshold and at its default p sweep.  sweep runs along
+each axis: p and the segment length, each with one failing grid point,
+and every projection.  After features it writes features/reordered.csv,
+the cache with its data rows in reverse order, and connectivity and
+baseline run once more on it: the cache parser reads the file as written
+in one pass and a reordered one row by row, so both paths run, and
+baseline takes its features from the grid of each.  It prints each
+command line and its stdout, then one `sha256  relative/path` line per
+file under OUT (outputs and run manifests).
 
 qeeg comes from PYTHONPATH, so the same script run against another checkout
 (`PYTHONPATH=other/src`) gives a listing to diff with this one: a change
@@ -51,6 +55,7 @@ COMMANDS = [
     ["synth", "--spec", "spec.json", "--seed", "5", "--out", "data"],
     ["features", "--data", "data", "--out", "features"],
     ["train", "--data", "data", *QUAD, "--pcs", "3", "--out", "train"],
+    ["train", "--data", "data", *QUAD, "--pc-threshold", "0.8", "--out", "train_threshold"],
     ["eval", "--model", "train/model.json", "--data", "data", "--split", "all",
      "--cache", "features/features.csv", "--out", "eval"],
     ["search", "--data", "data", "--band", "alpha", "--p-sweep-limit", "5",
@@ -66,6 +71,13 @@ COMMANDS = [
     # p = 99 fails, and its error row holds an escaped comma
     ["sweep", "--data", "data", *QUAD, "--axis", "pcs", "--values", "1,2,99",
      "--out", "sweep"],
+    # 0.3141 s is no whole number of samples at 200 Hz, so that point fails
+    ["sweep", "--data", "data", *QUAD, "--axis", "segment", "--values", "0.5,1.0,0.3141",
+     "--out", "sweep_segment"],
+    ["sweep", "--data", "data", *QUAD, "--axis", "projection",
+     "--values", "mean,absolute,norm,phase", "--out", "sweep_projection"],
+    # the defaults: a p sweep on both arms
+    ["baseline", "--data", "data", *QUAD, "--out", "baseline_sweep"],
     ["baseline", "--data", "data", *QUAD, "--pc-threshold", "0.8", "--out", "baseline"],
     ["baseline", "--data", "data", *QUAD, "--pc-threshold", "0.8",
      "--cache", "features/reordered.csv", "--out", "baseline_reordered"],
