@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baseline, connectivity, qpca, search
+from . import baseline, connectivity, pool, qpca, search
 from .blas import set_blas_threads
 from .classifier import LinearSvmModel, cross_validate
 from .dataset import (SynthSpec, load_recording, save_recording, session_split_keys,
@@ -26,7 +26,6 @@ from .dataset import (SynthSpec, load_recording, save_recording, session_split_k
 from .errors import ConfigError, QeegError
 from .pipeline import (SWEEP_AXES, FeatureCache, PipelineParams, evaluate_model,
                        fit_pca, sweep_parameters, train_pipeline)
-from .pool import usable_cores, worker_pool
 from .qpca import ChannelQuadruple, QpcaModel
 from .spectral import BAND_NAMES
 
@@ -105,16 +104,12 @@ def _load_recordings(data_dir: str) -> list:
                    if not p.name.endswith("_manifest.json"))
     if not paths:
         raise ConfigError(f"no recording manifests in {root}")
-    workers = min(usable_cores(), len(paths))
-    if workers == 1:
-        return [load_recording(p) for p in paths]
     # results, and the first error, come back in sorted manifest order
-    with worker_pool(workers) as pool:
-        return list(pool.map(_load_recording_task, paths))
+    return pool.ordered_map(_load_recording_task, paths, pool.usable_cores())
 
 
-def _load_recording_task(path: Path):
-    """Pool task: only the path is pickled, and the worker calls whatever
+def _load_recording_task(_, path: Path):
+    """Loader task: only the path is pickled, and the worker calls whatever
     this module's `load_recording` is bound to, wrapped or not."""
     return load_recording(path)
 
@@ -269,6 +264,10 @@ def _load_model(path: Path):
     if unset:
         raise ConfigError(f"--model {path} is not a qeeg train model: "
                           f"qpca has no {', '.join(unset)}")
+    ts = model.segment_seconds
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or not 0 < ts < np.inf:
+        raise ConfigError(f"--model {path} is not a qeeg train model: qpca "
+                          f"segment_seconds must be a positive finite number, got {ts!r}")
     return model, svm
 
 
@@ -450,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[data], help="exhaustive ordered 4-channel search")
     _add_shared(p, with_channels=False)
-    p.add_argument("--parallelism", type=int, default=usable_cores())
+    p.add_argument("--parallelism", type=int, default=pool.usable_cores())
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("connectivity", parents=[data],

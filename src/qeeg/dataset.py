@@ -37,6 +37,16 @@ _MIN_SAMPLING_RATE = 60.0  # Nyquist margin for the 1-30 Hz analysis range
 _OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
+def _breaks_csv(text: str) -> bool:
+    """Whether `text` holds a comma, or a character at which str.splitlines
+    breaks a line, either of which would split a CSV field or row."""
+    return any(c in text for c in ",\n\x85\u2028\u2029" + _OTHER_LINE_BREAKS)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class EegRecording:
     """One labeled multichannel recording; immutable after validation."""
@@ -50,6 +60,11 @@ class EegRecording:
     montage: str | None = None
 
     def __post_init__(self):
+        # the feature cache is a CSV whose "#" lines are comments
+        if self.subject_id.startswith("#") or _breaks_csv(self.subject_id):
+            raise ValidationError(f"subject_id {self.subject_id!r} starts with '#' or holds "
+                                  f"a comma or a line break, which the feature cache "
+                                  f"cannot hold")
         if self.label not in LABELS:
             raise ValidationError(f"unknown label {self.label!r}; expected one of {LABELS}")
         if self.session_index < 1:
@@ -62,6 +77,9 @@ class EegRecording:
         object.__setattr__(self, "channel_labels", labels)
         seen = set()
         for name in labels:
+            if _breaks_csv(name):
+                raise ValidationError(f"channel label {name!r} holds a comma or a line "
+                                      f"break, which the feature cache cannot hold")
             if name in seen:
                 raise ValidationError(f"duplicate channel label {name!r}")
             seen.add(name)
@@ -98,13 +116,6 @@ class EegRecording:
     @property
     def duration_seconds(self) -> float:
         return self.n_samples / self.sampling_rate_hz
-
-    def channel(self, name: str) -> np.ndarray:
-        try:
-            idx = self.channel_labels.index(name)
-        except ValueError:
-            raise ParameterError(f"no channel {name!r} in montage {self.channel_labels}") from None
-        return self.samples[idx]
 
     def key(self):
         return (self.subject_id, self.session_index)
@@ -271,24 +282,35 @@ class SynthSpec:
         for label, count in self.subjects.items():
             if label not in LABELS:
                 raise ValidationError(f"unknown class label {label!r}")
-            if count < 0:
-                raise ValidationError(f"negative subject count for {label}")
+            if not _is_int(count) or count < 0:
+                raise ValidationError(
+                    f"subject count for {label} must be an integer >= 0, got {count!r}")
         if sum(self.subjects.values()) < 1:
             raise ValidationError("at least one subject required")
-        if self.sessions_per_subject < 1:
-            raise ValidationError("sessions_per_subject must be >= 1")
+        if not _is_int(self.sessions_per_subject) or self.sessions_per_subject < 1:
+            raise ValidationError(f"sessions_per_subject must be an integer >= 1, "
+                                  f"got {self.sessions_per_subject!r}")
         if len(set(self.channel_labels)) != len(self.channel_labels):
             raise ValidationError("duplicate channel label in synth spec")
-        if self.duration_seconds <= 0 or self.sampling_rate_hz <= _MIN_SAMPLING_RATE:
-            raise ValidationError("nonpositive duration or too-low sampling rate")
+        if not 0 < self.duration_seconds < np.inf:
+            raise ValidationError(f"duration_seconds must be positive and finite, "
+                                  f"got {self.duration_seconds!r}")
+        if not _MIN_SAMPLING_RATE < self.sampling_rate_hz < np.inf:
+            raise ValidationError(f"sampling_rate_hz must be finite and above "
+                                  f"{_MIN_SAMPLING_RATE}, got {self.sampling_rate_hz!r}")
         for p in self.profiles:
             if p.label not in LABELS:
                 raise ValidationError(f"profile class {p.label!r} unknown")
             band_by_name(p.band)  # raises for unknown band names
-            if p.amplitude < 0:
-                raise ValidationError(f"negative amplitude {p.amplitude} for band {p.band}")
-            if p.noise_sigma < 0:
-                raise ValidationError(f"negative noise sigma {p.noise_sigma}")
+            if not 0 <= p.amplitude < np.inf:
+                raise ValidationError(f"amplitude must be >= 0 and finite, "
+                                      f"got {p.amplitude!r} for band {p.band}")
+            if not 0 <= p.noise_sigma < np.inf:
+                raise ValidationError(f"noise_sigma must be >= 0 and finite, "
+                                      f"got {p.noise_sigma!r} for band {p.band}")
+            if p.frequency_hz is not None and not -np.inf < p.frequency_hz < np.inf:
+                raise ValidationError(f"frequency_hz must be finite, "
+                                      f"got {p.frequency_hz!r} for band {p.band}")
             if p.channels_affected is not None:
                 missing = [c for c in p.channels_affected if c not in self.channel_labels]
                 if missing:

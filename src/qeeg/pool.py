@@ -1,19 +1,20 @@
-"""Worker processes: how many cores this process may use, and the process
-pool that the search and the recording loader share.
+"""Worker processes: how many cores this process may use, and the one
+ordered map that the search and the recording loader run through.
 
 Pool workers run BLAS on one thread, since the workers already share the
-cores among themselves.  Tasks and initializer arguments are pickled, so a
-pool behaves the same under every multiprocessing start method.
+cores among themselves.  Tasks and the context must pickle, so that a pool
+behaves the same under every multiprocessing start method.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from contextlib import contextmanager
+from functools import partial
 
 from .blas import set_blas_threads
 
-__all__ = ["usable_cores", "worker_pool"]
+__all__ = ["usable_cores", "ordered_map"]
 
 
 def usable_cores() -> int:
@@ -25,23 +26,40 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _init_worker(initializer, initargs) -> None:
+# the context of this worker process, set once by `_init_worker`
+_CONTEXT = None
+
+
+def _init_worker(context) -> None:
+    global _CONTEXT
     set_blas_threads(1)
-    if initializer is not None:
-        initializer(*initargs)
+    _CONTEXT = context
 
 
-@contextmanager
-def worker_pool(workers: int, initializer=None, initargs=()):
-    """A pool of `workers` processes on one BLAS thread each, which then run
-    `initializer(*initargs)`.  Leaving the block cancels the tasks not yet
-    started, so an error does not wait for the rest of the work.  The pool
-    machinery is imported here, so a serial command does not load it."""
+def _call(task, item):
+    return task(_CONTEXT, item)
+
+
+def ordered_map(task, items, limit: int, context=None) -> list:
+    """`[task(context, item) for item in items]`, in item order, for a
+    sequence of items.
+
+    A pool starts all its workers at once, so it gets no more than `limit`,
+    the usable cores or the items.  At one worker the loop runs here, and
+    the pool machinery is not imported.  Otherwise each worker pins BLAS to
+    one thread and receives `context` once; items go out in eight chunks
+    per worker, which balances the load at one pickle per chunk.  The first
+    error in item order is raised, and the chunks not yet started are
+    cancelled, so an error does not wait for the rest of the work."""
+    workers = min(limit, usable_cores(), len(items))
+    if workers <= 1:
+        return [task(context, item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                               initargs=(initializer, initargs))
+                               initargs=(context,))
     try:
-        yield pool
+        return list(pool.map(partial(_call, task), items,
+                             chunksize=math.ceil(len(items) / (8 * workers))))
     finally:
         pool.shutdown(cancel_futures=True)

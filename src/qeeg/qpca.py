@@ -48,11 +48,6 @@ class ChannelQuadruple:
         if len(set(channels)) != 4:
             raise ValidationError(f"channels must be distinct, got {channels}")
 
-    def require_in_montage(self, montage) -> None:
-        missing = [c for c in self.channels if c not in montage]
-        if missing:
-            raise ValidationError(f"channels {missing} not present in montage")
-
     def __iter__(self):
         return iter(self.channels)
 

@@ -34,12 +34,6 @@ class Quaternion:
                 raise ValidationError(f"non-finite quaternion component {name}={value!r}")
         return cls(float(w), float(x), float(y), float(z))
 
-    @classmethod
-    def from_list(cls, values) -> "Quaternion":
-        if len(values) != 4:
-            raise ValidationError(f"quaternion needs 4 components, got {len(values)}")
-        return cls.checked(*values)
-
     def to_list(self) -> list:
         """Serialize as [w, x, y, z] (the JSON wire form)."""
         return [self.w, self.x, self.y, self.z]

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ParameterError
 from .pipeline import (FeatureCache, PipelineParams, evaluate_quadruple,
                        rotation_classes)
-from .pool import usable_cores, worker_pool
+from .pool import ordered_map
 
 __all__ = [
     "TrialResult", "CombinationSummary", "LOBE_GROUPS", "lobe_of",
@@ -88,21 +88,6 @@ class CombinationSummary:
     n_invalid: int
 
 
-# worker-global context set once per process; avoids re-pickling per chunk
-_CTX: dict | None = None
-
-
-def _init_worker(ctx: dict) -> None:
-    """Pool initializer: the search context."""
-    global _CTX
-    _CTX = ctx
-
-
-def _run_class(perm) -> TrialResult:
-    """Pool task: the row of one rotation class, in the worker's context."""
-    return _run_one(_CTX, perm)
-
-
 def _run_one(ctx: dict, perm) -> TrialResult:
     """The row of `perm`'s rotation class; `run_search` gives each member
     its own trial index and permutation."""
@@ -127,15 +112,7 @@ def run_search(cache: FeatureCache, train_keys, test_keys, band: str,
     firsts, classes = rotation_classes(perms)
     ctx = {"cache": cache, "train_keys": list(train_keys),
            "test_keys": list(test_keys), "band": band, "params": params}
-    # a pool starts all its workers at once: no more than the cores or tasks
-    workers = min(parallelism, usable_cores(), len(firsts))
-    if workers == 1:
-        rows = [_run_one(ctx, perm) for perm in firsts]
-    else:
-        # eight chunks per worker balance the load at one pickle per chunk
-        chunk = math.ceil(len(firsts) / (8 * workers))
-        with worker_pool(workers, _init_worker, (ctx,)) as pool:
-            rows = list(pool.map(_run_class, firsts, chunksize=chunk))
+    rows = ordered_map(_run_one, firsts, parallelism, ctx)
     results = [replace(rows[c], trial_index=i, permutation=perm)
                for i, (perm, c) in enumerate(zip(perms, classes))]
     return results, summarize(results, cache.channels)

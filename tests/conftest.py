@@ -1,5 +1,8 @@
 """Shared fixtures: a small synthetic dataset with an alpha-band class
-difference, featurized once per session."""
+difference, featurized once per session, and a stand-in core count for
+`qeeg.pool.ordered_map`."""
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -20,8 +23,6 @@ def small_dataset():
     return synthesize_dataset(spec, seed=7)
 
 
-
-
 @pytest.fixture(scope="session")
 def small_cache(small_dataset):
     return FeatureCache.from_recordings(small_dataset, 1.0)
@@ -30,6 +31,45 @@ def small_cache(small_dataset):
 @pytest.fixture(scope="session")
 def small_keys(small_dataset):
     return session_split_keys(r.key() for r in small_dataset)
+
+
+@pytest.fixture
+def pool_workers(monkeypatch):
+    """`pool_workers(cores, in_process=False)` gives `qeeg.pool` `cores`
+    usable cores and returns the list that then records the size of every
+    pool `ordered_map` starts.  The pool runs in worker processes, or with
+    `in_process` in this process, where the worker's context is set as
+    `_CONTEXT` without the worker initializer, which would pin this
+    process's BLAS."""
+    from qeeg import pool
+
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def use(cores, in_process=False):
+        sizes = []
+
+        class Recorded(real):
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, initializer=initializer, initargs=initargs)
+
+        class InProcess:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                monkeypatch.setattr(pool, "_CONTEXT", *initargs)
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(pool, "usable_cores", lambda: cores)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcess if in_process else Recorded)
+        return sizes
+
+    return use
 
 
 def synthetic_cache(rng, channels=("A", "B", "C", "D", "E"), n_keys=12,

@@ -210,7 +210,8 @@ def _payloads(out):
     return payloads
 
 
-def test_features_cache_reuse_matches_direct(data_dir, tmp_path, monkeypatch):
+def test_features_cache_reuse_matches_direct(data_dir, tmp_path, monkeypatch,
+                                            pool_workers):
     fdir = tmp_path / "feat"
     main(["features", "--data", str(data_dir), "--out", str(fdir)])
     commands = {
@@ -230,7 +231,7 @@ def test_features_cache_reuse_matches_direct(data_dir, tmp_path, monkeypatch):
         raise AssertionError(f"recording {path} read despite --cache")
 
     # one loader process, so that the replaced name is the one that runs
-    monkeypatch.setattr("qeeg.cli.usable_cores", lambda: 1)
+    pool_workers(1)
     monkeypatch.setattr("qeeg.cli.load_recording", no_read)
     for name, base in commands.items():
         with pytest.raises(AssertionError, match="read despite --cache"):
@@ -259,23 +260,31 @@ def test_eval_rejects_cache_of_another_segment_length(data_dir, tmp_path, capsys
     assert not (tmp_path / "eval").exists()
 
 
-def _pool_sizes(monkeypatch, cores):
-    """Give the loader `cores` usable cores and record its pool sizes."""
-    sizes = []
+@pytest.mark.parametrize("with_cache", [False, True])
+def test_eval_rejects_a_model_whose_segment_length_is_text(data_dir, tmp_path, capsys,
+                                                           with_cache):
+    assert main(["features", "--data", str(data_dir), "--out", str(tmp_path / "feat")]) == 0
+    assert main(["train", "--data", str(data_dir), "--band", "alpha",
+                 "--channels", "F8,T7,T8,P4", "--pcs", "2",
+                 "--out", str(tmp_path / "model")]) == 0
+    path = tmp_path / "model" / "model.json"
+    doc = json.loads(path.read_text())
+    doc["data"]["qpca"]["segment_seconds"] = "1.0"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    cache = ["--cache", str(tmp_path / "feat" / "features.csv")] if with_cache else []
+    rc = main(["eval", "--model", str(path), "--data", str(data_dir), *cache,
+               "--out", str(tmp_path / "eval")])
+    assert (rc, capsys.readouterr().err) == (
+        1, f"error: --model {path} is not a qeeg train model: qpca segment_seconds "
+           f"must be a positive finite number, got '1.0'\n")
+    assert not (tmp_path / "eval").exists()
 
-    def recorded(workers, *args):
-        sizes.append(workers)
-        return pool.worker_pool(workers, *args)
 
-    monkeypatch.setattr(cli, "usable_cores", lambda: cores)
-    monkeypatch.setattr(cli, "worker_pool", recorded)
-    return sizes
-
-
-def test_loader_outputs_do_not_depend_on_workers(data_dir, tmp_path, monkeypatch):
+def test_loader_outputs_do_not_depend_on_workers(data_dir, tmp_path, pool_workers):
     outputs = {}
     for cores in (1, 2):
-        sizes = _pool_sizes(monkeypatch, cores)
+        sizes = pool_workers(cores)
         out = tmp_path / f"w{cores}"
         assert main(["features", "--data", str(data_dir), "--out", str(out / "feat")]) == 0
         assert main(["search", "--data", str(data_dir), "--band", "alpha",
@@ -287,23 +296,13 @@ def test_loader_outputs_do_not_depend_on_workers(data_dir, tmp_path, monkeypatch
     assert len(outputs[1]) == 4 and outputs[1] == outputs[2]
 
 
-def test_loader_pool_is_no_larger_than_the_manifest_count(data_dir, monkeypatch):
-    from contextlib import contextmanager
-
-    sizes = []
-
-    @contextmanager
-    def in_process(workers, *args):  # no process is started
-        sizes.append(workers)
-        yield type("Serial", (), {"map": staticmethod(map)})
-
-    monkeypatch.setattr(cli, "usable_cores", lambda: 64)
-    monkeypatch.setattr(cli, "worker_pool", in_process)
+def test_loader_pool_is_no_larger_than_the_manifest_count(data_dir, pool_workers):
+    sizes = pool_workers(64, in_process=True)
     assert len(cli._load_recordings(str(data_dir))) == 24
     assert sizes == [24]
 
 
-def test_loader_reports_the_first_bad_recording(data_dir, tmp_path, monkeypatch, capsys):
+def test_loader_reports_the_first_bad_recording(data_dir, tmp_path, pool_workers, capsys):
     import shutil
 
     data = tmp_path / "data"
@@ -313,7 +312,7 @@ def test_loader_reports_the_first_bad_recording(data_dir, tmp_path, monkeypatch,
     csvs[-1].write_text(csvs[-1].read_text().split("\n", 1)[0] + "\n")
     errors = {}
     for cores in (1, 2):
-        _pool_sizes(monkeypatch, cores)
+        pool_workers(cores)
         rc = main(["features", "--data", str(data), "--out", str(tmp_path / "feat")])
         errors[cores] = (rc, capsys.readouterr().err)
     assert errors[1] == errors[2]
@@ -321,7 +320,7 @@ def test_loader_reports_the_first_bad_recording(data_dir, tmp_path, monkeypatch,
     assert not (tmp_path / "feat").exists()
 
 
-def test_loader_reports_a_bad_manifest_value(data_dir, tmp_path, monkeypatch, capsys):
+def test_loader_reports_a_bad_manifest_value(data_dir, tmp_path, pool_workers, capsys):
     import shutil
 
     data = tmp_path / "data"
@@ -331,7 +330,7 @@ def test_loader_reports_a_bad_manifest_value(data_dir, tmp_path, monkeypatch, ca
     manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "session_index": "x"}))
     errors = {}
     for cores in (1, 2):
-        _pool_sizes(monkeypatch, cores)
+        pool_workers(cores)
         rc = main(["features", "--data", str(data), "--out", str(tmp_path / "feat")])
         errors[cores] = (rc, capsys.readouterr().err)
     assert errors[1] == errors[2] == (
@@ -339,7 +338,7 @@ def test_loader_reports_a_bad_manifest_value(data_dir, tmp_path, monkeypatch, ca
     assert not (tmp_path / "feat").exists()
 
 
-def test_loader_reports_a_recording_that_is_not_text(data_dir, tmp_path, monkeypatch,
+def test_loader_reports_a_recording_that_is_not_text(data_dir, tmp_path, pool_workers,
                                                      capsys):
     import shutil
 
@@ -349,7 +348,7 @@ def test_loader_reports_a_recording_that_is_not_text(data_dir, tmp_path, monkeyp
     bad.write_bytes(b"F7,F8,T7,T8,P4\n\xff\n")
     errors = {}
     for cores in (1, 2):
-        _pool_sizes(monkeypatch, cores)
+        pool_workers(cores)
         rc = main(["features", "--data", str(data), "--out", str(tmp_path / "feat")])
         errors[cores] = (rc, capsys.readouterr().err)
     assert errors[1] == errors[2]
@@ -358,15 +357,47 @@ def test_loader_reports_a_recording_that_is_not_text(data_dir, tmp_path, monkeyp
     assert not (tmp_path / "feat").exists()
 
 
-def test_recordings_from_the_pool_are_read_only(data_dir, monkeypatch):
-    sizes = _pool_sizes(monkeypatch, 2)
+@pytest.mark.parametrize("subject,header,message", [
+    ("S,01", None, "subject_id 'S,01' starts with '#' or"),
+    ("#NonAD01", None, "subject_id '#NonAD01' starts with '#' or"),
+    ("S\r01", None, "subject_id 'S\\r01' starts with '#' or"),
+    (None, '"F,7",F8,T7,T8,P4', "channel label 'F,7' holds")])
+def test_features_rejects_what_the_cache_cannot_hold(data_dir, tmp_path, pool_workers,
+                                                     capsys, subject, header, message):
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    manifests = sorted(p for p in data.glob("*.json")
+                       if not p.name.endswith("_manifest.json"))
+    if subject is not None:
+        manifests[4].write_text(json.dumps({**json.loads(manifests[4].read_text()),
+                                            "subject_id": subject}))
+    for manifest in manifests if header is not None else ():
+        # every recording on one montage other than the 10/20 set, which
+        # admits any label
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "montage": None}))
+        csv_path = manifest.with_suffix(".csv")
+        csv_path.write_text(header + "\n" + csv_path.read_text().split("\n", 1)[1])
+    errors = {}
+    for cores in (1, 2):
+        pool_workers(cores)
+        rc = main(["features", "--data", str(data), "--out", str(tmp_path / "feat")])
+        errors[cores] = (rc, capsys.readouterr().err)
+    assert errors[1] == errors[2]
+    assert errors[1][0] == 1 and errors[1][1].startswith(f"error: {message}")
+    assert not (tmp_path / "feat").exists()
+
+
+def test_recordings_from_the_pool_are_read_only(data_dir, pool_workers):
+    sizes = pool_workers(2)
     recordings = cli._load_recordings(str(data_dir))
     assert sizes == [2] and len(recordings) == 24
     assert not any(r.samples.flags.writeable for r in recordings)
 
 
 def test_search_parallelism_defaults_to_usable_cores(monkeypatch):
-    monkeypatch.setattr(cli, "usable_cores", lambda: 3)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 3)
     args = cli.build_parser().parse_args(["search", "--data", "d", "--band", "alpha",
                                           "--out", "o"])
     assert args.parallelism == 3
@@ -457,6 +488,8 @@ BAD_COMMANDS = {  # argv, and the content of the file named {file}
                                 "--p-sweep-limit", "3"], None),
     "spec_not_json": (["synth", "--spec", "{file}"], "not json\n"),
     "spec_without_subjects": (["synth", "--spec", "{file}"], "{}\n"),
+    "spec_duration_nan": (["synth", "--spec", "{file}"],
+                          '{"subjects": {"AD": 1}, "duration_seconds": NaN}\n'),
     "features_segment_nan": (["features", "--data", "{data}", "--segment-seconds", "nan"],
                              None),
     "features_segment_inf": (["features", "--data", "{data}", "--segment-seconds", "inf"],
@@ -615,7 +648,7 @@ PARSER_SURFACE = {
 def test_parser_surface(monkeypatch):
     import argparse
 
-    monkeypatch.setattr(cli, "usable_cores", lambda: 3)
+    monkeypatch.setattr(pool, "usable_cores", lambda: 3)
     parser = cli.build_parser()
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices

@@ -1,4 +1,6 @@
 """Recording I/O, split convention, and synthetic dataset tests."""
+import csv
+import io
 import json
 import pickle
 import warnings
@@ -33,6 +35,44 @@ def test_recording_validation():
         EegRecording("S", 1, "AD", 50.0, ("Fp1",), np.zeros((1, 10)))
     with pytest.raises(ValidationError, match="unknown label"):
         EegRecording("S", 1, "MCI", 250.0, ("Fp1",), np.zeros((1, 10)))
+
+
+CACHE_BREAKING = {  # a field the feature cache cannot hold, and its error
+    "subject_comma": ({"subject_id": "S,01"}, "subject_id 'S,01' starts with '#' or"),
+    "subject_newline": ({"subject_id": "S\n01"}, "subject_id 'S\\n01' starts with '#' or"),
+    "subject_carriage_return": ({"subject_id": "S\r01"},
+                                "subject_id 'S\\r01' starts with '#' or"),
+    "subject_file_separator": ({"subject_id": "S\x1c01"},
+                               "subject_id 'S\\x1c01' starts with '#' or"),
+    "subject_comment": ({"subject_id": "#NonAD01"},
+                        "subject_id '#NonAD01' starts with '#' or"),
+    "channel_comma": ({"channel_labels": ("F,7", "F8")}, "channel label 'F,7' holds"),
+    "channel_vertical_tab": ({"channel_labels": ("F\x0b7", "F8")},
+                             "channel label 'F\\x0b7' holds"),
+}
+
+
+@pytest.mark.parametrize("change,message", CACHE_BREAKING.values(), ids=CACHE_BREAKING)
+def test_recording_rejects_what_the_cache_cannot_hold(change, message):
+    fields = dict(subject_id="S01", session_index=1, label="AD", sampling_rate_hz=128.0,
+                  channel_labels=("F7", "F8"), samples=np.zeros((2, 16)))
+    with pytest.raises(ValidationError) as info:
+        EegRecording(**{**fields, **change})
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("change,message", CACHE_BREAKING.values(), ids=CACHE_BREAKING)
+def test_load_rejects_what_the_cache_cannot_hold(tmp_path, change, message):
+    manifest = save_recording(small_recording(), tmp_path, stem="r")
+    fields = {**json.loads(manifest.read_text()), "montage": None}
+    labels = change.get("channel_labels", ("Fp1", "Fp2"))
+    manifest.write_text(json.dumps({**fields, "subject_id": change.get("subject_id", "S01")}))
+    header = io.StringIO()
+    csv.writer(header).writerow(labels)
+    (tmp_path / "r.csv").write_text(header.getvalue().rstrip("\r\n") + "\n1.0,2.0\n")
+    with pytest.raises(ValidationError) as info:
+        load_recording(manifest)
+    assert str(info.value).startswith(message)
 
 
 def test_recording_samples_immutable():
@@ -257,6 +297,35 @@ def test_synth_spec_validation():
                   profiles=(BandProfile("AD", "alpha", 1.0, ("NotAChannel",)),))
     with pytest.raises(ValidationError):
         SynthSpec(subjects={})
+
+
+BAD_SPECS = {  # a change to a valid spec's JSON, and the field its error names
+    "duration_nan": ({"duration_seconds": float("nan")}, "duration_seconds"),
+    "duration_overflow": ({"duration_seconds": 1e999}, "duration_seconds"),
+    "sampling_rate_nan": ({"sampling_rate_hz": float("nan")}, "sampling_rate_hz"),
+    "sampling_rate_overflow": ({"sampling_rate_hz": 1e999}, "sampling_rate_hz"),
+    "subjects_fraction": ({"subjects": {"AD": 1.5, "NonAD": 1}}, "subject count for AD"),
+    "subjects_bool": ({"subjects": {"AD": True, "NonAD": 1}}, "subject count for AD"),
+    "sessions_fraction": ({"sessions_per_subject": 2.5}, "sessions_per_subject"),
+    "sessions_bool": ({"sessions_per_subject": True}, "sessions_per_subject"),
+    "amplitude_nan": ({"amplitude": float("nan")}, "amplitude"),
+    "amplitude_overflow": ({"amplitude": 1e999}, "amplitude"),
+    "noise_nan": ({"noise_sigma": float("nan")}, "noise_sigma"),
+    "frequency_nan": ({"frequency_hz": float("nan")}, "frequency_hz"),
+    "frequency_overflow": ({"frequency_hz": -1e999}, "frequency_hz"),
+}
+
+
+@pytest.mark.parametrize("change,field", BAD_SPECS.values(), ids=BAD_SPECS)
+def test_synth_spec_rejects_what_it_cannot_generate(change, field):
+    spec = SynthSpec.default(channel_labels=("Fp1", "Fp2"), subjects={"AD": 1, "NonAD": 1})
+    obj = spec.to_json()
+    if field in ("amplitude", "noise_sigma", "frequency_hz"):
+        obj["profiles"][0].update(change)
+    else:
+        obj.update(change)
+    with pytest.raises(ValidationError, match=f"^{field}"):
+        SynthSpec.from_json(obj)
 
 
 def test_synth_spec_json_roundtrip():

@@ -1,4 +1,4 @@
-"""Usable-core count and the shared worker pool."""
+"""Usable-core count and the ordered map over worker processes."""
 import os
 import subprocess
 import sys
@@ -23,21 +23,29 @@ def test_usable_cores_without_an_affinity_call(monkeypatch, count, expected):
     assert pool.usable_cores() == expected
 
 
-def _initialized():
-    return _STATE
+class _Context:
+    """A context that counts the times this process pickles it."""
+
+    pickled = 0
+
+    def __reduce__(self):
+        _Context.pickled += 1
+        return _Context, ()
 
 
-_STATE = None
+def _task(context, item):
+    return item, type(context).__name__, os.getpid()
 
 
-def _set_state(value):
-    global _STATE
-    _STATE = value
-
-
-def test_worker_pool_runs_the_initializer():
-    with pool.worker_pool(1, _set_state, ("ready",)) as workers:
-        assert workers.submit(_initialized).result(timeout=60) == "ready"
+def test_ordered_map_sends_the_context_once_per_worker(pool_workers, monkeypatch):
+    monkeypatch.setattr(_Context, "pickled", 0)
+    sizes = pool_workers(2)
+    rows = pool.ordered_map(_task, range(40), 2, _Context())
+    assert sizes == [2]
+    assert [(item, name) for item, name, _ in rows] == [(i, "_Context") for i in range(40)]
+    assert os.getpid() not in {pid for _, _, pid in rows}
+    # 40 items go out in 16 chunks of at most 3: the context goes with none
+    assert _Context.pickled <= 2
 
 
 def test_cli_import_leaves_the_pool_machinery_unloaded():

@@ -20,8 +20,6 @@ def test_quadruple_validation():
         ChannelQuadruple(("F8", "T7", "T8"))
     with pytest.raises(ValidationError):
         ChannelQuadruple(("F8", "T7", "T8", "T8"))
-    with pytest.raises(ValidationError):
-        ChannelQuadruple(("F8", "T7", "T8", "P4")).require_in_montage(("F8", "T7"))
 
 
 def test_embed_constant_quarter():

@@ -9,9 +9,8 @@ from conftest import synthetic_cache
 from qeeg.errors import ParameterError
 from qeeg.pipeline import (PipelineParams, evaluate_quadruple, rotation_class_key,
                            rotation_classes)
-from qeeg.pool import worker_pool
-from qeeg.search import (_init_worker, count_tuples, enumerate_channel_tuples,
-                         lobe_of, rank, run_search)
+from qeeg.pool import ordered_map
+from qeeg.search import count_tuples, enumerate_channel_tuples, lobe_of, rank, run_search
 
 
 def test_count_montage_subset_sizes():
@@ -162,12 +161,17 @@ def _openblas_threads():
     return None
 
 
-def test_pool_workers_use_one_blas_thread():
+def _blas_threads_task(context, item):
+    return _openblas_threads()
+
+
+def test_pool_workers_use_one_blas_thread(pool_workers):
     before = _openblas_threads()
     if before is None:
         pytest.skip("numpy does not bundle a scipy-openblas library")
-    with worker_pool(1, _init_worker, ({},)) as pool:
-        assert pool.submit(_openblas_threads).result(timeout=60) == 1
+    sizes = pool_workers(2)
+    assert ordered_map(_blas_threads_task, range(4), 2) == [1] * 4
+    assert sizes == [2]
     assert _openblas_threads() == before  # the calling process keeps its setting
 
 
@@ -224,23 +228,9 @@ def test_rank_single_result():
 
 @pytest.mark.parametrize("parallelism,cores,workers", [
     (500, 64, 40), (8, 2, 2), (2, 1, None), (1, 64, None)])
-def test_search_pool_is_capped(small_cache, small_keys, search_results, monkeypatch,
+def test_search_pool_is_capped(small_cache, small_keys, search_results, pool_workers,
                                parallelism, cores, workers):
-    from contextlib import contextmanager
-
-    from qeeg import search
-
-    sizes = []
-
-    @contextmanager
-    def in_process(size, initializer, initargs):  # no process is started
-        sizes.append(size)
-        initializer(*initargs)
-        yield type("Serial", (), {"map": staticmethod(lambda f, xs, chunksize: map(f, xs))})
-
-    monkeypatch.setattr(search, "_CTX", None)
-    monkeypatch.setattr(search, "usable_cores", lambda: cores)
-    monkeypatch.setattr(search, "worker_pool", in_process)
+    sizes = pool_workers(cores, in_process=True)
     train, test = small_keys
     # 5 channels: 120 ordered quadruples in 40 rotation classes
     results = run_search(small_cache, train, test, "alpha", PipelineParams(p_sweep_limit=5),

@@ -5,11 +5,15 @@
 
 OUT must be a new or empty directory.  The script writes a fixed spec to
 it, then runs synth, features, train, eval, search (at --parallelism 1 and
-2), connectivity, crossval, sweep and baseline there, each as
-`python -m qeeg.cli` with OUT as the working directory and relative paths,
-so nothing printed or written names OUT.  Every branch of the p rule
-(`pipeline.fit_pca`) runs: train at a fixed p and at an energy threshold,
-baseline at a threshold and at its default p sweep.  sweep runs along
+2), connectivity (triple and quadruple), crossval, sweep and baseline
+there, each as `python -m qeeg.cli` with OUT as the working directory and
+relative paths, so nothing printed or written names OUT.  features runs
+twice: as it is, where the recording loader starts its pool on a host with
+two or more usable cores, and pinned to one core with os.sched_setaffinity,
+where it loads serially (skipped where there is no such call); the two
+features.csv lines of the listing must hash the same.  Every branch of the
+p rule (`pipeline.fit_pca`) runs: train at a fixed p and at an energy
+threshold, baseline at a threshold and at its default p sweep.  sweep runs along
 each axis: p and the segment length, each with one failing grid point,
 and every projection.  After features it writes features/reordered.csv,
 the cache with its data rows in reverse order, and connectivity and
@@ -51,9 +55,12 @@ SPEC = {
             ("alpha", 1.1, ["F7", "P4"], 0.0))
     ],
 }
+# features again in a process pinned to one core, where the loader is serial
+ONE_CORE = ["features", "--data", "data", "--out", "features_one_core"]
 COMMANDS = [
     ["synth", "--spec", "spec.json", "--seed", "5", "--out", "data"],
     ["features", "--data", "data", "--out", "features"],
+    ONE_CORE,
     ["train", "--data", "data", *QUAD, "--pcs", "3", "--out", "train"],
     ["train", "--data", "data", *QUAD, "--pc-threshold", "0.8", "--out", "train_threshold"],
     ["eval", "--model", "train/model.json", "--data", "data", "--split", "all",
@@ -66,6 +73,8 @@ COMMANDS = [
      "--cache", "features/features.csv", "--out", "connectivity"],
     ["connectivity", "--data", "data", "--mode", "triple",
      "--cache", "features/reordered.csv", "--out", "connectivity_reordered"],
+    ["connectivity", "--data", "data", "--mode", "quadruple",
+     "--cache", "features/features.csv", "--out", "connectivity_quad"],
     ["crossval", "--data", "data", *QUAD, "--k", "4", "--repeats", "5", "--seed", "9",
      "--out", "crossval"],
     # p = 99 fails, and its error row holds an escaped comma
@@ -92,6 +101,10 @@ def write_reordered_cache(features: Path) -> None:
     (features / "reordered.csv").write_text("".join(lines[:n_head] + lines[:n_head - 1:-1]))
 
 
+def pin_to_one_core() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -107,14 +120,18 @@ def main(argv) -> int:
             if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     for command in COMMANDS:
+        one_core = command is ONE_CORE
+        if one_core and not hasattr(os, "sched_setaffinity"):
+            continue
         proc = subprocess.run([sys.executable, "-m", "qeeg.cli", *command], cwd=out,
-                              env=env, capture_output=True, text=True)
+                              env=env, capture_output=True, text=True,
+                              preexec_fn=pin_to_one_core if one_core else None)
         print("$ qeeg " + " ".join(command))
         print(proc.stdout, end="")
         if proc.returncode != 0:
             print(proc.stderr, end="", file=sys.stderr)
             return 1
-        if command[0] == "features":
+        if command[-1] == "features":
             write_reordered_cache(out / "features")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
