@@ -129,8 +129,13 @@ def _load_cache(args, segment_seconds: float) -> FeatureCache:
                 cached_config = json.loads(text.split("\n", 1)[0][len("# config: "):])
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"--cache {path}: unreadable config header: {exc}") from None
-            cached_ts = cached_config.get("segment_seconds")
-            if cached_ts is not None and cached_ts != segment_seconds:
+            if not isinstance(cached_config, dict):
+                raise ConfigError(f"--cache {path}: config header is not a JSON object")
+            cached_ts = cached_config.get("segment_seconds", segment_seconds)
+            if isinstance(cached_ts, bool) or not isinstance(cached_ts, (int, float)):
+                raise ConfigError(f"--cache {path}: config segment_seconds {cached_ts!r} "
+                                  f"is not a number")
+            if cached_ts != segment_seconds:
                 raise ConfigError(
                     f"cache was built with --segment-seconds {cached_ts}, "
                     f"requested {segment_seconds}")

@@ -265,6 +265,10 @@ class BandProfile:
     frequency_hz: float | None = None  # None -> drawn uniformly inside the band
 
 
+# `SynthSpec.default`: delta noise sigma, AD and NonAD alpha amplitudes
+_NOISE_SIGMA, _AD_ALPHA, _NS_ALPHA = 0.35, 0.45, 1.1
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Declarative description of a synthetic two-class dataset."""
@@ -318,23 +322,25 @@ class SynthSpec:
 
     @classmethod
     def default(cls, channel_labels=STANDARD_MONTAGE_19, alpha_affected=None,
-                subjects=None, noise_sigma=0.35, ad_alpha=0.45, ns_alpha=1.1) -> "SynthSpec":
+                subjects=None) -> "SynthSpec":
         """Two-class spec with reduced alpha amplitude for the AD class on the
-        affected channels (all channels when alpha_affected is None)."""
+        affected channels (all channels when alpha_affected is None): alpha
+        0.45 there against 1.1 for NonAD and the other channels, delta noise
+        sigma 0.35 for both classes."""
         channel_labels = tuple(channel_labels)
         affected = tuple(alpha_affected) if alpha_affected is not None else channel_labels
         rest = tuple(c for c in channel_labels if c not in affected)
         profiles = []
         for label in LABELS:
             profiles += [
-                BandProfile(label, "delta", 0.9, None, noise_sigma),
+                BandProfile(label, "delta", 0.9, None, _NOISE_SIGMA),
                 BandProfile(label, "theta", 0.8, None, 0.0),
                 BandProfile(label, "beta", 0.7, None, 0.0),
             ]
-            alpha_amp = ad_alpha if label == "AD" else ns_alpha
+            alpha_amp = _AD_ALPHA if label == "AD" else _NS_ALPHA
             profiles.append(BandProfile(label, "alpha", alpha_amp, affected, 0.0))
             if rest:
-                profiles.append(BandProfile(label, "alpha", ns_alpha, rest, 0.0))
+                profiles.append(BandProfile(label, "alpha", _NS_ALPHA, rest, 0.0))
         return cls(subjects=dict(subjects or {"AD": 5, "NonAD": 6}),
                    channel_labels=channel_labels, profiles=tuple(profiles))
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import qpca
 from .classifier import (MetricsResult, confusion, metrics, svm_fit, svm_fit_prefixes,
                          svm_predict, svm_predict_prefixes)
-from .dataset import _OTHER_LINE_BREAKS, LABELS
+from .dataset import LABELS
 from .errors import ParameterError, ValidationError
 from .spectral import BAND_NAMES, band_power_matrix
 
@@ -168,17 +168,13 @@ class FeatureCache:
 
     @classmethod
     def from_csv_text(cls, text: str, segment_seconds: float) -> "FeatureCache":
-        """Parse a feature cache file.  Each key needs one label from LABELS
-        and exactly one row per cell of its channel x band x segment grid.
-
-        Text in the layout `to_csv_text` writes is read in one pass
-        (`_read_canonical`); any other text, or a fault, goes to the row
-        loop (`_read_rows`), which accepts rows in any order and names the
-        first fault."""
+        """Parse a feature cache file in the layout `to_csv_text` writes
+        (`_read_cache`): each key one label from LABELS and exactly one row
+        per cell of its channel x band x segment grid."""
         if not 0 < segment_seconds < np.inf:
             raise ParameterError(
                 f"segment_seconds must be positive and finite, got {segment_seconds}")
-        channels, labels, grid = _read_canonical(text) or _read_rows(text)
+        channels, labels, grid = _read_cache(text)
         return cls(segment_seconds=segment_seconds, channels=channels,
                    keys=tuple(sorted(labels)), labels=labels, grid=grid)
 
@@ -197,35 +193,31 @@ def _row_prefixes(keys, labels, channels, bands, n_segments):
                     yield cell + segment
 
 
-def _read_canonical(text: str):
-    """(channels, labels, grid) of a cache in exactly the layout
-    `to_csv_text` writes, else None: ASCII text whose only line break is
-    "\n", `#` lines, the header, then the rows of every key in strictly
-    ascending key order, each row its canonical prefix (`_row_prefixes`)
-    plus one float.  The first rows give the segment count and the
-    channels, and the first row of each key block its key and label; every
-    row is then read as float(row.removeprefix(prefix)), which raises for a
-    row that is not its prefix plus one value, since a float holds no
-    comma."""
-    if not text.isascii() or any(brk in text for brk in _OTHER_LINE_BREAKS):
-        return None
+def _read_cache(text: str):
+    """(channels, labels, grid) of a cache in the layout `to_csv_text`
+    writes: `#` lines, the header, then the rows of every key in strictly
+    ascending key order, each row its prefix (`_row_prefixes`) plus one
+    float.  The first rows give the segment count and the channels, and the
+    first row of each key block its key and label; every row is then read
+    as float(row.removeprefix(prefix)), which raises for a row that is not
+    its prefix plus one value, since a float holds no comma.  Any fault is a
+    ValidationError: a header mismatch, no rows, an unknown label, or else
+    the first row that breaks the layout, found only once the read fails."""
     lines = text.split("\n")
     start = 0
     while start < len(lines) and lines[start].startswith("#"):
         start += 1
     if start == len(lines) or lines[start] != CACHE_HEADER:
-        return None
+        raise ValidationError("feature cache header mismatch")
     offset = sum(len(line) + 1 for line in lines[:start + 1])
     start += 1
     stop = len(lines) - 1 if lines[-1] == "" else len(lines)
     n_rows = stop - start
-    # A row without a comma would parse whole as a float, so every row must
-    # hold the six commas of its prefix.
-    if n_rows == 0 or text.count(",", offset) != 6 * n_rows:
-        return None
+    if n_rows == 0:
+        raise ValidationError("feature cache has no rows: no recordings to featurize")
     first = lines[start].split(",")
     if len(first) != 7:
-        return None
+        raise _line_error(start, lines[start], "7 fields")
     cell, head = ",".join(first[:5]) + ",", ",".join(first[:3]) + ","
     n_segments = 1
     while n_segments < n_rows and lines[start + n_segments].startswith(cell):
@@ -233,83 +225,55 @@ def _read_canonical(text: str):
     stride = len(BAND_NAMES) * n_segments
     channels = []
     for r in range(start, stop, stride):
-        if not lines[r].startswith(head):
+        channel = lines[r].split(",", 4)[3] if lines[r].startswith(head) else None
+        if channel is None or channel in channels:
             break
-        channels.append(lines[r].split(",")[3])
+        channels.append(channel)
     block = len(channels) * stride
-    if n_rows % block or len(set(channels)) != len(channels):
-        return None
     keys, labels = [], {}
-    try:
-        for r in range(start, stop, block):
+    for r in range(start, stop, block):
+        try:
             subject, session, label, _ = lines[r].split(",", 3)
             key = (subject, int(session))
-            if subject.startswith("#") or label not in LABELS or (keys and key <= keys[-1]):
-                return None
-            keys.append(key)
-            labels[key] = label
-        prefixes = _row_prefixes(keys, labels, channels, BAND_NAMES, n_segments)
+        except ValueError:
+            break
+        if subject.startswith("#") or (keys and key <= keys[-1]):
+            break
+        if label not in LABELS:
+            raise ValidationError(f"feature cache line {r + 1}: unknown label {label!r} "
+                                  f"for {key}; expected one of {LABELS}")
+        keys.append(key)
+        labels[key] = label
+    prefixes = _row_prefixes(keys, labels, channels, BAND_NAMES, n_segments)
+    try:
         flat = np.fromiter(map(float, map(str.removeprefix, islice(lines, start, stop),
                                           prefixes)),
                            dtype=np.float64, count=n_rows)
     except ValueError:
-        return None
-    return (tuple(channels), labels,
-            flat.reshape(len(keys), len(channels), len(BAND_NAMES), n_segments))
+        flat = None
+    # A row without a comma would parse whole as a float, so every row must
+    # hold the six commas of its prefix.
+    if flat is not None and n_rows == len(keys) * block and text.count(",", offset) == 6 * n_rows:
+        return (tuple(channels), labels,
+                flat.reshape(len(keys), len(channels), len(BAND_NAMES), n_segments))
+    # the first row that is not its prefix plus one value (a row past the last
+    # reads as empty), else the row after the last key's block starts no key
+    for r, prefix in enumerate(_row_prefixes(keys, labels, channels, BAND_NAMES, n_segments),
+                               start):
+        line = lines[r] if r < stop else ""
+        try:
+            if line.startswith(prefix):
+                float(line[len(prefix):])
+                continue
+        except ValueError:
+            pass
+        raise _line_error(r, line, f"{prefix!r} and a value")
+    r = start + len(keys) * block
+    raise _line_error(r, lines[r], f"a key after {keys[-1]}" if keys else "a key")
 
 
-def _read_rows(text: str):
-    """(channels, labels, grid) of a cache read row by row: rows in any
-    order, blank and `#` lines skipped anywhere, the grid rows in sorted
-    key order.  Raises ValidationError naming the first fault."""
-    lines = [ln for ln in text.splitlines()
-             if ln and not ln.startswith("#")]
-    if not lines or lines[0] != CACHE_HEADER:
-        raise ValidationError("feature cache header mismatch")
-    if len(lines) == 1:
-        raise ValidationError("feature cache has no rows: no recordings to featurize")
-    raw: dict = {}
-    labels: dict = {}
-    channels: list = []
-    for ln in lines[1:]:
-        try:
-            subject, session, label, channel, band, si, value = ln.split(",")
-            key, si, value = (subject, int(session)), int(si), float(value)
-        except ValueError as exc:
-            raise ValidationError(f"feature cache row {ln!r}: {exc}") from None
-        if labels.setdefault(key, label) != label:
-            raise ValidationError(
-                f"feature cache rows of {key} disagree on the label: "
-                f"{labels[key]!r} and {label!r}")
-        if channel not in channels:
-            channels.append(channel)
-        raw.setdefault(key, {}).setdefault(channel, {}).setdefault(band, {})[si] = value
-    values = {}
-    shape = None
-    for key, per_channel in raw.items():
-        if labels[key] not in LABELS:
-            raise ValidationError(
-                f"unknown label {labels[key]!r} for {key}; expected one of {LABELS}")
-        # a KeyError here is a missing channel, band or segment 0..N_s-1
-        try:
-            arr = np.array([[[per_channel[c][b][s] for s in range(len(per_channel[c][b]))]
-                             for b in BAND_NAMES] for c in channels],
-                           dtype=np.float64)
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(f"incomplete feature cache for {key}: {exc}") from None
-        if shape is None:
-            shape = arr.shape
-        elif arr.shape != shape:
-            raise ValidationError(
-                f"feature cache shape mismatch for {key}: {arr.shape} vs {shape}")
-        values[key] = arr
-    grid = np.stack([values[key] for key in sorted(values)])
-    # the grids are complete, so any further row is a repeat or off the grid
-    if grid.size != len(lines) - 1:
-        raise ValidationError(
-            f"feature cache has {len(lines) - 1} rows for {grid.size} cells: a row "
-            f"repeats a cell or names a band outside {BAND_NAMES}")
-    return tuple(channels), labels, grid
+def _line_error(r: int, line: str, expected: str) -> ValidationError:
+    return ValidationError(f"feature cache line {r + 1}: {line!r}, expected {expected}")
 
 
 def rotation_class_key(channels) -> tuple:

@@ -89,6 +89,8 @@ class QpcaModel:
     @classmethod
     def from_json(cls, obj: dict) -> "QpcaModel":
         mean = np.asarray(obj["mean_vector"], dtype=np.float64)
+        if mean.ndim != 2 or mean.shape[1] != 4:
+            raise ValidationError(f"mean_vector must be an n x 4 array, got shape {mean.shape}")
         mean_vec = QuaternionMatrix.from_components(
             mean[None, :, 0], mean[None, :, 1], mean[None, :, 2], mean[None, :, 3])
         quadruple = (ChannelQuadruple(tuple(obj["quadruple"]))

@@ -281,6 +281,26 @@ def test_eval_rejects_a_model_whose_segment_length_is_text(data_dir, tmp_path, c
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("mean_vector", [[[1.0, 2.0, 3.0]] * 10, []],
+                         ids=["three_columns", "empty"])
+def test_eval_rejects_a_model_whose_mean_vector_is_not_n_by_4(data_dir, tmp_path, capsys,
+                                                              mean_vector):
+    assert main(["train", "--data", str(data_dir), "--band", "alpha",
+                 "--channels", "F8,T7,T8,P4", "--pcs", "2",
+                 "--out", str(tmp_path / "model")]) == 0
+    path = tmp_path / "model" / "model.json"
+    doc = json.loads(path.read_text())
+    doc["data"]["qpca"]["mean_vector"] = mean_vector
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(path), "--data", str(data_dir),
+               "--out", str(tmp_path / "eval")])
+    shape = np.asarray(mean_vector).shape
+    assert (rc, capsys.readouterr().err) == (
+        1, f"error: mean_vector must be an n x 4 array, got shape {shape}\n")
+    assert not (tmp_path / "eval").exists()
+
+
 def test_loader_outputs_do_not_depend_on_workers(data_dir, tmp_path, pool_workers):
     outputs = {}
     for cores in (1, 2):
@@ -527,6 +547,55 @@ def test_bad_input_is_an_error_without_out_dir(data_dir, tmp_path, capsys,
     assert rc == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config,message", [
+    ("[]", "config header is not a JSON object"),
+    ('{"segment_seconds": "1.0"}', "config segment_seconds '1.0' is not a number"),
+    ('{"segment_seconds": true}', "config segment_seconds True is not a number"),
+], ids=["list", "text", "boolean"])
+def test_cache_config_is_an_object_whose_segment_length_is_a_number(data_dir, tmp_path,
+                                                                    capsys, config, message):
+    cache = tmp_path / "features.csv"
+    cache.write_text(f"# config: {config}\n" + CONSTANT_CACHE)
+    out = tmp_path / "out"
+    rc = main(["connectivity", "--data", str(data_dir), "--mode", "triple",
+               "--cache", str(cache), "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (1, f"error: --cache {cache}: {message}\n")
+    assert not out.exists()
+
+
+def _features_lines(data_dir, out):
+    """The lines of a features.csv written to `out`, ends kept, and the
+    index of its first data row."""
+    assert main(["features", "--data", str(data_dir), "--out", str(out)]) == 0
+    lines = (out / "features.csv").read_text().splitlines(keepends=True)
+    return lines, next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+
+
+def test_connectivity_rejects_a_cache_with_rows_swapped(data_dir, tmp_path, capsys):
+    lines, first = _features_lines(data_dir, tmp_path / "feat")
+    lines[first:first + 2] = lines[first + 1], lines[first]
+    swapped = tmp_path / "swapped.csv"
+    swapped.write_text("".join(lines))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(["connectivity", "--data", str(data_dir), "--mode", "triple",
+               "--cache", str(swapped), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: feature cache line {first + 1}: ")
+    assert not out.exists()
+
+
+def test_connectivity_reads_a_crlf_cache_as_written(data_dir, tmp_path):
+    lines, _ = _features_lines(data_dir, tmp_path / "feat")
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes("".join(lines).replace("\n", "\r\n").encode())
+    for name, cache in (("lf", tmp_path / "feat" / "features.csv"), ("crlf", crlf)):
+        assert main(["connectivity", "--data", str(data_dir), "--mode", "triple",
+                     "--band", "alpha", "--cache", str(cache),
+                     "--out", str(tmp_path / name)]) == 0
+    assert _payloads(tmp_path / "crlf") == _payloads(tmp_path / "lf")
 
 
 def test_runs_without_scipy(spec_path, tmp_path):

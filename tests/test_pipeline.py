@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_cache
-from qeeg import pipeline, qpca
+from qeeg import qpca
 from qeeg.baseline import concatenated_features, fit_real_pca
 from qeeg.classifier import (confusion, metrics, svm_fit, svm_fit_prefixes, svm_predict,
                              svm_predict_prefixes)
@@ -90,27 +90,65 @@ def test_cache_csv_without_rows_is_rejected(small_cache):
         FeatureCache.from_csv_text(f"# config: {{}}\n{header}\n", 1.0)
 
 
+def _cache_error(cache, rows):
+    """The message of reading the header of `cache` followed by `rows`."""
+    header = cache.to_csv_text().splitlines()[0]
+    with pytest.raises(ValidationError) as info:
+        FeatureCache.from_csv_text("\n".join([header, *rows]) + "\n", cache.segment_seconds)
+    return str(info.value)
+
+
+def _expected(line, row, prefix):
+    return f"feature cache line {line}: {row!r}, expected {prefix!r} and a value"
+
+
+def _prefix(row):
+    return row.rsplit(",", 1)[0] + ","
+
+
 @pytest.mark.parametrize("defect", ["unknown label", "disagree on the label",
-                                    "repeats a cell", "band outside", "incomplete"])
+                                    "repeats a cell", "band outside", "incomplete",
+                                    "key out of order", "channel repeated", "truncated"])
 def test_cache_csv_rejects_rows_off_the_grid(small_cache, defect):
+    # row i of the cache text is line i + 2, after the header
     header, *lines = small_cache.to_csv_text().splitlines()
     rows = [ln.split(",") for ln in lines]
     # the first key's rows come first, segments 0..N_s-1 of its first cell leading
-    n_key = len(small_cache.channels) * len(small_cache.bands) * small_cache.n_segments
+    n_seg = small_cache.n_segments
+    n_key = len(small_cache.channels) * len(small_cache.bands) * n_seg
+    first, second = small_cache.keys[:2]
     if defect == "unknown label":
         for row in rows[:n_key]:
             row[2] = "ad"
-    elif defect == "disagree on the label":
-        rows[0][2] = "NonAD" if rows[0][2] == "AD" else "AD"
+        expected = (f"feature cache line 2: unknown label 'ad' for {first}; "
+                    f"expected one of ('AD', 'NonAD')")
+    elif defect == "disagree on the label":  # the second theta row of the first key
+        r = n_seg + 1
+        rows[r][2] = "NonAD" if rows[r][2] == "AD" else "AD"
+        expected = _expected(r + 2, ",".join(rows[r]), _prefix(lines[r]))
     elif defect == "repeats a cell":
         rows.append(list(rows[0]))
-    elif defect == "band outside":
-        rows.append(rows[0][:4] + ["gamma"] + rows[0][5:])
-    else:  # segments 0..N_s-2 and N_s in the first cell
-        rows[small_cache.n_segments - 1][5] = str(small_cache.n_segments)
-    text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
-    with pytest.raises(ValidationError, match=defect):
-        FeatureCache.from_csv_text(text, small_cache.segment_seconds)
+        expected = (f"feature cache line {len(lines) + 2}: {lines[0]!r}, "
+                    f"expected a key after {small_cache.keys[-1]}")
+    elif defect == "band outside":  # the first theta row of the first cell
+        rows[n_seg][4] = "gamma"
+        expected = _expected(n_seg + 2, ",".join(rows[n_seg]), _prefix(lines[n_seg]))
+    elif defect == "incomplete":  # segments 0..N_s-2 and N_s in the first cell
+        rows[n_seg - 1][5] = str(n_seg)
+        expected = _expected(n_seg + 1, ",".join(rows[n_seg - 1]), _prefix(lines[n_seg - 1]))
+    elif defect == "key out of order":  # the second key's block first
+        rows[:2 * n_key] = rows[n_key:2 * n_key] + rows[:n_key]
+        expected = f"feature cache line {n_key + 2}: {lines[0]!r}, expected a key after {second}"
+    elif defect == "channel repeated":  # the first key's second channel named as its first
+        stride = len(small_cache.bands) * n_seg
+        for row in rows[stride:2 * stride]:
+            row[3] = small_cache.channels[0]
+        expected = (f"feature cache line {stride + 2}: {','.join(rows[stride])!r}, "
+                    f"expected a key after {first}")
+    else:  # the last row missing: the empty line after the last reads in its place
+        expected = _expected(len(lines) + 1, "", _prefix(lines[-1]))
+        del rows[-1]
+    assert _cache_error(small_cache, [",".join(row) for row in rows]) == expected
 
 
 def _cache_parts(cache):
@@ -119,20 +157,25 @@ def _cache_parts(cache):
             cache.grid.dtype, cache.grid.shape, cache.grid.tobytes())
 
 
-def _row_loop_cache(text, segment_seconds=1.0):
-    channels, labels, grid = pipeline._read_rows(text)
-    return FeatureCache(segment_seconds=segment_seconds, channels=channels,
-                        keys=tuple(sorted(labels)), labels=labels, grid=grid)
-
-
 @pytest.mark.parametrize("source", ["small", "synthetic"])
-def test_cache_fast_path_matches_row_loop(small_cache, source):
+def test_cache_csv_roundtrip_after_comment_lines(small_cache, source):
     cache = small_cache if source == "small" else synthetic_cache(np.random.default_rng(3))
     text = "# config: {}\n# checksum: 0\n" + cache.to_csv_text()
-    assert pipeline._read_canonical(text) is not None
-    fast = FeatureCache.from_csv_text(text, 1.0)
-    assert _cache_parts(fast) == _cache_parts(_row_loop_cache(text))
-    assert _cache_parts(fast)[1:] == _cache_parts(cache)[1:]
+    back = FeatureCache.from_csv_text(text, 1.0)
+    assert _cache_parts(back) == _cache_parts(cache)
+
+
+def test_cache_csv_roundtrip_of_a_non_ascii_subject():
+    rng = np.random.default_rng(4)
+    keys = (("AD01", 1), ("AD01", 2), ("NonAD02", 1), ("ÄdüAD01", 1), ("ÄdüAD01", 2))
+    labels = {key: "NonAD" if key[0] == "NonAD02" else "AD" for key in keys}
+    cache = FeatureCache(segment_seconds=1.0, channels=("F7", "T7", "P4"), keys=keys,
+                         labels=labels, grid=rng.uniform(0.05, 0.95, (5, 3, 4, 6)))
+    text = cache.to_csv_text()
+    assert "ÄdüAD01,2,AD,P4,beta,5," in text
+    back = FeatureCache.from_csv_text(text, 1.0)
+    assert _cache_parts(back) == _cache_parts(cache)
+    assert back.to_csv_text() == text
 
 
 def _non_canonical(text, variant):
@@ -151,56 +194,51 @@ def _non_canonical(text, variant):
 
 
 @pytest.mark.parametrize("variant", ["rows shuffled", "CRLF", "comment after header",
-                                     "blank line after header", "session 01",
-                                     "value leading space"])
-def test_non_canonical_cache_reads_as_row_loop(small_cache, variant):
+                                     "blank line after header", "session 01"])
+def test_non_canonical_cache_is_rejected(small_cache, variant):
     text = small_cache.to_csv_text()
-    if variant == "CRLF":
+    if variant == "CRLF":  # the CLI reads with universal newlines
         text = text.replace("\n", "\r\n")
     else:
         text = _non_canonical(text, variant)
+    first = text.splitlines()[1]
+    expected = {
+        # the first row's key and channel, at the first band and segment
+        "rows shuffled": _expected(2, first, ",".join(first.split(",")[:4]) + ",delta,0,"),
+        "CRLF": "feature cache header mismatch",
+        "comment after header": "feature cache line 2: '# a note', expected 7 fields",
+        "blank line after header": "feature cache line 2: '', expected 7 fields",
+        "session 01": _expected(2, first, _prefix(first.replace(",01,", ",1,"))),
+    }[variant]
+    with pytest.raises(ValidationError) as info:
+        FeatureCache.from_csv_text(text, 1.0)
+    assert str(info.value) == expected
+
+
+def test_cache_value_with_a_leading_space_reads(small_cache):
+    # `float` strips the space
+    text = _non_canonical(small_cache.to_csv_text(), "value leading space")
     assert text != small_cache.to_csv_text()
-    if variant != "value leading space":  # `float` strips the space on either path
-        assert pipeline._read_canonical(text) is None
-    cache = FeatureCache.from_csv_text(text, 1.0)
-    assert _cache_parts(cache) == _cache_parts(_row_loop_cache(text))
-    # the row loop orders the channels by first appearance
-    assert cache.keys == small_cache.keys
-    assert sorted(cache.channels) == sorted(small_cache.channels)
-    assert all(np.array_equal(cache.grid[r, cache.channel_index(c)],
-                              small_cache.grid[r, small_cache.channel_index(c)])
-               for r in range(len(cache.keys)) for c in cache.channels)
+    assert _cache_parts(FeatureCache.from_csv_text(text, 1.0)) == _cache_parts(small_cache)
 
 
-def test_cache_fast_path_does_not_need_the_row_loop(small_cache, monkeypatch):
-    def row_loop(text):
-        raise AssertionError("row loop called")
-
-    monkeypatch.setattr(pipeline, "_read_rows", row_loop)
-    text = small_cache.to_csv_text()
-    cache = FeatureCache.from_csv_text(text, small_cache.segment_seconds)
-    assert cache.to_csv_text() == text
-    # a row out of place leaves the fast path
-    header, first, second, *rest = text.splitlines()
-    with pytest.raises(AssertionError, match="row loop called"):
-        FeatureCache.from_csv_text("\n".join([header, second, first, *rest]) + "\n", 1.0)
-
-
-def test_cache_rows_of_a_hash_subject_are_comments(small_cache):
+@pytest.mark.parametrize("where", ["first", "later"])
+def test_cache_rows_of_a_hash_subject_are_rejected(small_cache, where):
     header, *rows = small_cache.to_csv_text().splitlines()
     n_key = len(small_cache.channels) * len(small_cache.bands) * small_cache.n_segments
-    text = "\n".join([header] + ["#" + row for row in rows[:n_key]] + rows[n_key:]) + "\n"
-    cache = FeatureCache.from_csv_text(text, 1.0)
-    assert cache.keys == small_cache.keys[1:]
-    assert _cache_parts(cache) == _cache_parts(_row_loop_cache(text))
+    r = 0 if where == "first" else n_key
+    rows[r:r + n_key] = ["#" + row for row in rows[r:r + n_key]]
+    expected = "a key" if r == 0 else f"a key after {small_cache.keys[0]}"
+    assert _cache_error(small_cache, rows) == (f"feature cache line {r + 2}: {rows[r]!r}, "
+                                               f"expected {expected}")
 
 
 def test_cache_row_of_a_bare_value_is_rejected(small_cache):
-    # a row without a comma would parse as a float if the fast path took it
+    # a row without a comma would parse as a float if the comma count did
+    # not catch it
     header, *rows = small_cache.to_csv_text().splitlines()
-    rows[-1] = rows[-1].rsplit(",", 1)[1]
-    with pytest.raises(ValidationError, match="feature cache row"):
-        FeatureCache.from_csv_text("\n".join([header] + rows) + "\n", 1.0)
+    prefix, rows[-1] = rows[-1].rsplit(",", 1)
+    assert _cache_error(small_cache, rows) == _expected(len(rows) + 1, rows[-1], prefix + ",")
 
 
 def test_params_validation():

@@ -15,13 +15,9 @@ features.csv lines of the listing must hash the same.  Every branch of the
 p rule (`pipeline.fit_pca`) runs: train at a fixed p and at an energy
 threshold, baseline at a threshold and at its default p sweep.  sweep runs along
 each axis: p and the segment length, each with one failing grid point,
-and every projection.  After features it writes features/reordered.csv,
-the cache with its data rows in reverse order, and connectivity and
-baseline run once more on it: the cache parser reads the file as written
-in one pass and a reordered one row by row, so both paths run, and
-baseline takes its features from the grid of each.  It prints each
-command line and its stdout, then one `sha256  relative/path` line per
-file under OUT (outputs and run manifests).
+and every projection.  It prints each command line and its stdout, then
+one `sha256  relative/path` line per file under OUT (outputs and run
+manifests).
 
 qeeg comes from PYTHONPATH, so the same script run against another checkout
 (`PYTHONPATH=other/src`) gives a listing to diff with this one: a change
@@ -71,8 +67,6 @@ COMMANDS = [
      "--parallelism", "2", "--cache", "features/features.csv", "--out", "search2"],
     ["connectivity", "--data", "data", "--mode", "triple",
      "--cache", "features/features.csv", "--out", "connectivity"],
-    ["connectivity", "--data", "data", "--mode", "triple",
-     "--cache", "features/reordered.csv", "--out", "connectivity_reordered"],
     ["connectivity", "--data", "data", "--mode", "quadruple",
      "--cache", "features/features.csv", "--out", "connectivity_quad"],
     ["crossval", "--data", "data", *QUAD, "--k", "4", "--repeats", "5", "--seed", "9",
@@ -88,17 +82,7 @@ COMMANDS = [
     # the defaults: a p sweep on both arms
     ["baseline", "--data", "data", *QUAD, "--out", "baseline_sweep"],
     ["baseline", "--data", "data", *QUAD, "--pc-threshold", "0.8", "--out", "baseline"],
-    ["baseline", "--data", "data", *QUAD, "--pc-threshold", "0.8",
-     "--cache", "features/reordered.csv", "--out", "baseline_reordered"],
 ]
-
-
-def write_reordered_cache(features: Path) -> None:
-    """features/reordered.csv: the `#` lines and the header of features.csv,
-    then its data rows in reverse order."""
-    lines = (features / "features.csv").read_text().splitlines(keepends=True)
-    n_head = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
-    (features / "reordered.csv").write_text("".join(lines[:n_head] + lines[:n_head - 1:-1]))
 
 
 def pin_to_one_core() -> None:
@@ -131,8 +115,6 @@ def main(argv) -> int:
         if proc.returncode != 0:
             print(proc.stderr, end="", file=sys.stderr)
             return 1
-        if command[-1] == "features":
-            write_reordered_cache(out / "features")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out).as_posix()}")
