@@ -57,20 +57,19 @@ def _as_features(features) -> np.ndarray:
     return x
 
 
-def _optimal_bias(margins_wo_b: np.ndarray, y: np.ndarray, w_norm_sq, c: float):
-    """Primal-optimal intercept for fixed weights, one per row of
-    margins_wo_b (P, n) or (n,) and of w_norm_sq (P,); returns the (P,)
-    intercepts and primal objectives.
+def _optimal_bias(margins: np.ndarray, y: np.ndarray, w_norm_sq: np.ndarray, c: float):
+    """Primal-optimal intercept for fixed weights, one per row of the
+    margins without intercept (P, n) and of w_norm_sq (P,); returns the
+    (P,) intercepts and primal objectives.
 
     The primal is piecewise linear in b, so its minimum sits on a hinge
     kink b = y_i - w.x_i; ties resolve to the smallest candidate.  Where
     the primal is flat over an interval, rounding makes its values at the
     kinks differ in the last bits, so every candidate within a relative
     1e-9 of the minimum counts as tied."""
-    margins = np.atleast_2d(margins_wo_b)
     candidates = np.sort(y - margins, axis=1)
     hinge = np.maximum(0.0, 1.0 - y * (margins[:, None, :] + candidates[:, :, None]))
-    objective = 0.5 * np.asarray(w_norm_sq).reshape(-1, 1) + c * hinge.sum(axis=2)
+    objective = 0.5 * w_norm_sq[:, None] + c * hinge.sum(axis=2)
     tied = objective <= objective.min(axis=1, keepdims=True) * (1.0 + 1e-9)
     rows, best = np.arange(len(margins)), tied.argmax(axis=1)
     return candidates[rows, best], objective[rows, best]

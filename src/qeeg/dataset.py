@@ -124,11 +124,11 @@ class EegRecording:
 def load_recording(manifest_path) -> EegRecording:
     """Load and validate one recording from its JSON manifest.
 
-    The data file's body is parsed first.  Only when the parse fails, or its
-    shape is not one row per "\n"-terminated line by one column per header
-    channel, are the lines scanned one by one, for the error that names the
-    first bad line: a ragged row (a blank line, a missing or an extra
-    field), a header without samples, or else the bad value."""
+    The data file's body is parsed once and kept when it is one row per
+    "\n"-separated line (the last "\n" optional) by one column per header
+    channel.  Otherwise a scan of the lines names the fault: the first
+    ragged row (a blank line, a missing or an extra field), a header
+    without samples, or else the bad value."""
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise ValidationError(f"manifest not found: {manifest_path}")
@@ -164,32 +164,24 @@ def load_recording(manifest_path) -> EegRecording:
     if not header or any(not h for h in header):
         raise ValidationError(f"malformed header in {data_path}: blank channel name")
     n_channels = len(header)
-    samples = None
-    # The parse skips blank lines and strips some whitespace, so it is taken
-    # as it is only for a body whose lines all end in "\n" and parse to one
-    # row each.  Anything else takes the line scan.
-    if (body.endswith("\n") and not body.isspace() and body.isascii()
-            and not any(brk in body for brk in _OTHER_LINE_BREAKS)):
-        try:
-            parsed = _parse_body(body)
-            if parsed.shape == (body.count("\n"), n_channels):
-                samples = parsed
-        except ValueError:
-            pass
-    if samples is None:
-        rows = body.splitlines()
-        for i, row in enumerate(rows):
-            n_values = row.count(",") + 1 if row else 0
+    fault = None
+    try:
+        # numpy warns of "no data" for a body that is all whitespace
+        samples = _parse_body(body) if body.strip() else None
+    except ValueError as exc:
+        samples, fault = None, exc
+    n_lines = body.count("\n") + (body[-1:] not in ("", "\n"))
+    if samples is None or samples.shape != (n_lines, n_channels):
+        for i, row in enumerate(body.split("\n")[:n_lines]):
+            n_values = row.count(",") + 1 if row.strip() else 0
             if n_values != n_channels:
                 raise ValidationError(
                     f"ragged row {i + 1} in {data_path}: {n_values} values, "
                     f"expected {n_channels}")
-        if not rows:
+        if not body:
             raise ValidationError(f"{data_path} contains a header but no samples")
-        try:
-            samples = _parse_body(body)
-        except ValueError as exc:
-            raise ValidationError(f"bad value in {data_path}: {exc}") from None
+        # every row holds its fields, so the parse failed on a value
+        raise ValidationError(f"bad value in {data_path}: {fault}")
 
     return EegRecording(
         subject_id=str(manifest["subject_id"]),
@@ -267,6 +259,15 @@ class BandProfile:
 
 # `SynthSpec.default`: delta noise sigma, AD and NonAD alpha amplitudes
 _NOISE_SIGMA, _AD_ALPHA, _NS_ALPHA = 0.35, 0.45, 1.1
+
+
+def _check_keys(what: str, obj, written: dict) -> None:
+    """Reject a non-object, or a misspelled key that would take its default."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    unknown = sorted(set(obj) - set(written))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}; expected some of {list(written)}")
 
 
 @dataclass(frozen=True)
@@ -362,6 +363,10 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SynthSpec":
+        written = cls.default().to_json()
+        _check_keys("spec", obj, written)
+        for p in obj.get("profiles", ()):
+            _check_keys("profile", p, written["profiles"][0])
         profiles = tuple(
             BandProfile(label=p["class"], band=p["band"], amplitude=p["amplitude"],
                         channels_affected=(tuple(p["channels_affected"])

@@ -197,12 +197,13 @@ def _read_cache(text: str):
     """(channels, labels, grid) of a cache in the layout `to_csv_text`
     writes: `#` lines, the header, then the rows of every key in strictly
     ascending key order, each row its prefix (`_row_prefixes`) plus one
-    float.  The first rows give the segment count and the channels, and the
-    first row of each key block its key and label; every row is then read
-    as float(row.removeprefix(prefix)), which raises for a row that is not
-    its prefix plus one value, since a float holds no comma.  Any fault is a
-    ValidationError: a header mismatch, no rows, an unknown label, or else
-    the first row that breaks the layout, found only once the read fails."""
+    float.  The rows before the next segment 0 give the segment count, the
+    first rows the channels and the first row of each key block its key and
+    label; every row is then read as float(row.removeprefix(prefix)), which
+    raises for a row that is not its prefix plus one value, since a float
+    holds no comma.  Any fault is a ValidationError: a header mismatch, no
+    rows, an unknown label, or else the first row that breaks the layout,
+    found only once the read fails."""
     lines = text.split("\n")
     start = 0
     while start < len(lines) and lines[start].startswith("#"):
@@ -218,9 +219,9 @@ def _read_cache(text: str):
     first = lines[start].split(",")
     if len(first) != 7:
         raise _line_error(start, lines[start], "7 fields")
-    cell, head = ",".join(first[:5]) + ",", ",".join(first[:3]) + ","
+    head = ",".join(first[:3]) + ","
     n_segments = 1
-    while n_segments < n_rows and lines[start + n_segments].startswith(cell):
+    while n_segments < n_rows and lines[start + n_segments].split(",", 6)[5:6] != ["0"]:
         n_segments += 1
     stride = len(BAND_NAMES) * n_segments
     channels = []

@@ -128,18 +128,14 @@ def select_components(eigenvalues: np.ndarray, p: int | None, energy_threshold: 
     return p
 
 
-def fit(training_vectors, p: int | None = None,
+def fit(q: QuaternionMatrix, p: int | None = None,
         energy_threshold: float = 0.90) -> QpcaModel:
-    """Fit the quaternion PCA model on m training row vectors.
+    """Fit the quaternion PCA model on the m training row vectors of `q`.
 
     The number of components comes from `select_components`.  The model's
     band, quadruple, segment length and projection are labels for the
     caller to set.
     """
-    if isinstance(training_vectors, QuaternionMatrix):
-        q = training_vectors
-    else:
-        q = QuaternionMatrix.vstack(training_vectors)
     m, n_s = q.shape
     if m < 2:
         raise DegenerateDataError(f"need at least 2 training vectors, got {m}")
@@ -163,10 +159,8 @@ def fit(training_vectors, p: int | None = None,
                      eigenvalues=eigenvalues, p=p, spectrum_tie=tie)
 
 
-def transform(model: QpcaModel, vectors) -> QuaternionMatrix:
+def transform(model: QpcaModel, vectors: QuaternionMatrix) -> QuaternionMatrix:
     """Project row vectors onto the basis: (x - training_mean) U_p."""
-    if not isinstance(vectors, QuaternionMatrix):
-        vectors = QuaternionMatrix.vstack(vectors)
     if vectors.cols != model.n_segments:
         raise ShapeError(
             f"vector length {vectors.cols} does not match model N_s={model.n_segments}")

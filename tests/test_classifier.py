@@ -86,7 +86,7 @@ def test_optimal_bias_flat_objective_ignores_rounding_noise():
     for steps in itertools.product((-np.inf, None, np.inf), repeat=len(margins)):
         perturbed = np.array([m if s is None else np.nextafter(m, s)
                               for m, s in zip(margins, steps)])
-        biases.append(_optimal_bias(perturbed, y, 0.5, 1.0)[0])
+        biases.append(_optimal_bias(perturbed[None], y, np.array([0.5]), 1.0)[0])
     np.testing.assert_allclose(biases, -0.6, rtol=0, atol=1e-12)
 
 

@@ -508,6 +508,7 @@ BAD_COMMANDS = {  # argv, and the content of the file named {file}
                                 "--p-sweep-limit", "3"], None),
     "spec_not_json": (["synth", "--spec", "{file}"], "not json\n"),
     "spec_without_subjects": (["synth", "--spec", "{file}"], "{}\n"),
+    "spec_not_an_object": (["synth", "--spec", "{file}"], "[]\n"),
     "spec_duration_nan": (["synth", "--spec", "{file}"],
                           '{"subjects": {"AD": 1}, "duration_seconds": NaN}\n'),
     "features_segment_nan": (["features", "--data", "{data}", "--segment-seconds", "nan"],
@@ -546,6 +547,20 @@ def test_bad_input_is_an_error_without_out_dir(data_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_synth_names_a_misspelled_spec_key(spec_path, tmp_path, capsys):
+    spec = json.loads(spec_path.read_text())
+    spec["profiles"][0]["noise_sgima"] = spec["profiles"][0].pop("noise_sigma")
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["synth", "--spec", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --spec {bad} is not a SynthSpec: ValueError: unknown profile key(s) "
+        f"['noise_sgima']; expected some of ['class', 'band', 'amplitude', "
+        f"'channels_affected', 'noise_sigma', 'frequency_hz']\n")
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qeeg import dataset
 from qeeg.dataset import (BandProfile, EegRecording, SynthSpec,
                           load_recording, session_split_keys,
                           save_recording, synthesize_dataset, STANDARD_MONTAGE_19)
@@ -183,19 +184,32 @@ BAD_BODIES = {
     "blank_last_row": ("1.0,2.0\n\n", "ragged row 2 in {csv}: 0 values, expected 2"),
     "blank_row_unterminated": ("1.0,2.0\n\n3.0,4.0",
                                "ragged row 2 in {csv}: 0 values, expected 2"),
-    # the parse strips a trailing vertical tab or line separator, the line
-    # scan breaks the line there
-    "vertical_tab": ("1.0,2.0\x0b\n3.0,4.0\n", "ragged row 2 in {csv}: 0 values, expected 2"),
-    "line_separator": ("1.0,2.0\u2028\n3.0,4.0\n",
-                       "ragged row 2 in {csv}: 0 values, expected 2"),
+    "whitespace_row": ("1.0,2.0\n \t\n3.0,4.0\n", "ragged row 2 in {csv}: 0 values, expected 2"),
+    # only "\n" ends a row, so the vertical tab joins two rows into one
+    "vertical_tab_inside": ("1.0,2.0\x0b3.0,4.0\n",
+                            "ragged row 1 in {csv}: 3 values, expected 2"),
     "only_blank_rows": ("\n\n", "ragged row 1 in {csv}: 0 values, expected 2"),
     "no_samples": ("", "{csv} contains a header but no samples"),
     "bad_value": ("1.0,2.0\n3.0,x\n", "bad value in {csv}: could not convert string 'x'"),
 }
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """The list of bodies `load_recording` has handed to its parser."""
+    calls = []
+
+    def parse(body):
+        calls.append(body)
+        return parse_body(body)
+
+    parse_body = dataset._parse_body
+    monkeypatch.setattr(dataset, "_parse_body", parse)
+    return calls
+
+
 @pytest.mark.parametrize("body,message", BAD_BODIES.values(), ids=BAD_BODIES)
-def test_load_names_the_bad_row(tmp_path, body, message):
+def test_load_names_the_bad_row(tmp_path, parses, body, message):
     manifest = save_recording(small_recording(), tmp_path, stem="r")
     csv_path = tmp_path / "r.csv"
     csv_path.write_text("Fp1,Fp2\n" + body)
@@ -204,14 +218,36 @@ def test_load_names_the_bad_row(tmp_path, body, message):
         with pytest.raises(ValidationError) as info:
             load_recording(manifest)
     assert str(info.value).startswith(message.format(csv=csv_path))
+    assert len(parses) <= 1
 
 
-@pytest.mark.parametrize("body", ["1.0,2.0\n3.0,4.0", "1.0,2.0\r\n3.0,4.0\r\n",
-                                  " 1.0, 2.0\n3.0,4.0\n"])
-def test_load_accepts_bodies_the_line_scan_accepts(tmp_path, body):
+def test_load_counts_a_whitespace_row_of_one_channel_as_no_values(tmp_path):
+    manifest = save_recording(small_recording(), tmp_path, stem="r")
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text("Fp1\n1.0\n \n2.0\n")
+    with pytest.raises(ValidationError) as info:
+        load_recording(manifest)
+    assert str(info.value) == f"ragged row 2 in {csv_path}: 0 values, expected 1"
+
+
+ACCEPTED_BODIES = {  # bodies that load as the plain "1.0,2.0\n3.0,4.0\n"
+    "unterminated": "1.0,2.0\n3.0,4.0",
+    "crlf": "1.0,2.0\r\n3.0,4.0\r\n",  # read_text turns "\r\n" into "\n"
+    "spaces": " 1.0, 2.0\n3.0,4.0\n",
+    "no_break_space": "1.0,\xa02.0\xa0\n3.0,4.0\n",
+    # the parse strips these as whitespace
+    "vertical_tab": "1.0,2.0\x0b\n3.0,4.0\n",
+    "form_feed": "1.0,2.0\x0c\n3.0,4.0\n",
+    "line_separator": "1.0,2.0\u2028\n3.0,4.0\n",
+}
+
+
+@pytest.mark.parametrize("body", ACCEPTED_BODIES.values(), ids=ACCEPTED_BODIES)
+def test_load_accepts_the_bodies_the_parse_reads(tmp_path, parses, body):
     manifest = save_recording(small_recording(), tmp_path, stem="r")
     (tmp_path / "r.csv").write_text("Fp1,Fp2\n" + body)
     assert np.array_equal(load_recording(manifest).samples, [[1.0, 3.0], [2.0, 4.0]])
+    assert len(parses) == 1
 
 
 def session_keys(subject, n=6):
@@ -333,3 +369,13 @@ def test_synth_spec_json_roundtrip():
                              alpha_affected=("T7", "T8"))
     back = SynthSpec.from_json(spec.to_json())
     assert back == spec
+
+
+@pytest.mark.parametrize("where,key", [("spec", "duration_second"),
+                                       ("profile", "noise_sgima")])
+def test_synth_spec_rejects_a_key_it_does_not_write(where, key):
+    obj = SynthSpec.default(channel_labels=("Fp1", "Fp2")).to_json()
+    (obj if where == "spec" else obj["profiles"][1])[key] = 3.0
+    with pytest.raises(ValueError) as info:
+        SynthSpec.from_json(obj)
+    assert str(info.value).startswith(f"unknown {where} key(s) ['{key}']; expected some of ")

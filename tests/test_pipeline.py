@@ -107,8 +107,9 @@ def _prefix(row):
 
 
 @pytest.mark.parametrize("defect", ["unknown label", "disagree on the label",
-                                    "repeats a cell", "band outside", "incomplete",
-                                    "key out of order", "channel repeated", "truncated"])
+                                    "repeats a cell", "band outside", "band inside",
+                                    "incomplete", "key out of order", "channel repeated",
+                                    "truncated"])
 def test_cache_csv_rejects_rows_off_the_grid(small_cache, defect):
     # row i of the cache text is line i + 2, after the header
     header, *lines = small_cache.to_csv_text().splitlines()
@@ -133,6 +134,9 @@ def test_cache_csv_rejects_rows_off_the_grid(small_cache, defect):
     elif defect == "band outside":  # the first theta row of the first cell
         rows[n_seg][4] = "gamma"
         expected = _expected(n_seg + 2, ",".join(rows[n_seg]), _prefix(lines[n_seg]))
+    elif defect == "band inside":  # the third row of the first cell
+        rows[2][4] = "gamma"
+        expected = _expected(4, ",".join(rows[2]), _prefix(lines[2]))
     elif defect == "incomplete":  # segments 0..N_s-2 and N_s in the first cell
         rows[n_seg - 1][5] = str(n_seg)
         expected = _expected(n_seg + 1, ",".join(rows[n_seg - 1]), _prefix(lines[n_seg - 1]))
