@@ -3,9 +3,10 @@
 The four channels' band-power vectors are concatenated into one real vector
 (Ch1 then Ch2 then Ch3 then Ch4, segment-major within each channel),
 classical PCA extracts the leading components, and the same linear SVM
-classifies them.  `compare` runs this arm and the quaternion arm on
-identical inputs and settings so the representations are the only
-difference.
+classifies them.  REAL_ARM is this arm's (gather, fit, features) triple,
+and `compare` runs it and the quaternion arm through the one trial,
+`pipeline.evaluate_quadruple`, on identical inputs and settings so the
+representations are the only difference.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, ShapeError
-from .pipeline import (FeatureCache, PipelineParams, TrialOutcome, best_over_p,
-                       evaluate_quadruple, fit_pca)
+from .pipeline import FeatureCache, PipelineParams, evaluate_quadruple
 from .qpca import select_components
 
 __all__ = ["RealPcaModel", "fit_real_pca", "transform_real",
-           "concatenated_features", "compare"]
+           "concatenated_features", "REAL_ARM", "compare"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +57,8 @@ def fit_real_pca(training: np.ndarray, p: int | None = None,
     return RealPcaModel(mean=mean, basis=vecs[:, :p].copy(), eigenvalues=vals, p=p)
 
 
-def transform_real(model: RealPcaModel, x: np.ndarray) -> np.ndarray:
+def transform_real(model: RealPcaModel, x: np.ndarray, projection=None) -> np.ndarray:
+    """Row coordinates in the basis; real already, so `projection` goes unused."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -71,14 +72,7 @@ def concatenated_features(cache: FeatureCache, keys, channels, band: str) -> np.
     return cache.band_powers(keys, channels, band).reshape(len(keys), -1)
 
 
-def _evaluate_real(cache: FeatureCache, train_keys, test_keys, channels, band,
-                   params: PipelineParams) -> TrialOutcome:
-    x_train = concatenated_features(cache, train_keys, channels, band)
-    x_test = concatenated_features(cache, test_keys, channels, band)
-    model, candidates = fit_pca(fit_real_pca, x_train, params)
-    return best_over_p(transform_real(model, x_train), cache.labels_pm1(train_keys),
-                       transform_real(model, x_test), cache.labels_pm1(test_keys),
-                       candidates, params.svm_c)
+REAL_ARM = (concatenated_features, fit_real_pca, transform_real)
 
 
 def compare(cache: FeatureCache, train_keys, test_keys, quadruple, band: str,
@@ -86,8 +80,8 @@ def compare(cache: FeatureCache, train_keys, test_keys, quadruple, band: str,
     """Paired quaternion-PCA vs real-PCA metrics from identical inputs."""
     qpca_outcome = evaluate_quadruple(cache, train_keys, test_keys, quadruple, band,
                                       params)
-    real_outcome = _evaluate_real(cache, train_keys, test_keys,
-                                  tuple(quadruple), band, params)
+    real_outcome = evaluate_quadruple(cache, train_keys, test_keys, quadruple, band,
+                                      params, arm=REAL_ARM)
     return {"qpca": qpca_outcome.to_json(), "real_pca": real_outcome.to_json(),
             "params": params.to_json(), "band": band,
             "quadruple": list(quadruple)}

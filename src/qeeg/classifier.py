@@ -20,9 +20,9 @@ import numpy as np
 from .errors import DegenerateDataError, ParameterError, ShapeError, ValidationError
 
 __all__ = [
-    "LinearSvmModel", "ConfusionCounts", "MetricsResult", "CrossValResult",
+    "LinearSvmModel", "ConfusionCounts", "MetricsResult", "TrialOutcome", "CrossValResult",
     "svm_fit", "svm_fit_prefixes", "svm_predict", "svm_predict_prefixes", "confusion",
-    "metrics", "cross_validate",
+    "metrics", "best_over_p", "cross_validate",
 ]
 
 _GAP_CHECK_EVERY = 32
@@ -286,6 +286,35 @@ def metrics(counts: ConfusionCounts) -> MetricsResult:
     )
 
 
+@dataclass(frozen=True)
+class TrialOutcome:
+    """The winning SVM, its p and scores, and the PCA model it ran on."""
+
+    acc: float | None
+    sen: float | None
+    spe: float | None
+    p_used: int
+    result: MetricsResult
+    svm: LinearSvmModel
+    pca: object = None
+
+    def to_json(self) -> dict:
+        return {**self.result.to_json(), "p_used": self.p_used}
+
+
+def best_over_p(train_feats, y_train, test_feats, y_test, candidates,
+                svm_c: float) -> TrialOutcome:
+    """One SVM per candidate p on the leading p feature columns, trained in
+    lockstep and scored in one pass; the most test hits win (ties resolve to
+    the smallest component count)."""
+    models = svm_fit_prefixes(train_feats, y_train, candidates, regularization_c=svm_c)
+    pred = svm_predict_prefixes(models, test_feats)  # (P, n_test)
+    best = int(np.argmax((pred == y_test).sum(axis=1)))
+    m = metrics(confusion(y_test, pred[best]))
+    return TrialOutcome(acc=m.acc, sen=m.sen, spe=m.spe, p_used=candidates[best], result=m,
+                        svm=models[best])
+
+
 @dataclass(frozen=True, eq=False)
 class CrossValResult:
     k: int
@@ -320,7 +349,8 @@ def _fold_assignment(y: np.ndarray, k: int, rng, stratified: bool) -> np.ndarray
 def cross_validate(features, labels, k: int, repeats: int = 1000, seed: int = 0,
                    regularization_c: float = 1.0, stratified: bool = True) -> CrossValResult:
     """Repeated k-fold cross-validation; score is the misclassification rate
-    (lower is better), averaged over folds then over repeats.
+    (lower is better) of each fold's SVM, one `best_over_p` at the full
+    feature width, averaged over folds then over repeats.
 
     The default of 1000 repeats matches the evaluation protocol; pass a
     small value for quick runs."""
@@ -343,9 +373,9 @@ def cross_validate(features, labels, k: int, repeats: int = 1000, seed: int = 0,
         rates = np.empty(k)
         for f in range(k):
             test = folds == f
-            model = svm_fit(x[~test], y[~test], regularization_c=regularization_c)
-            pred = svm_predict(model, x[test])
-            rates[f] = np.mean(pred != y[test])
+            counts = best_over_p(x[~test], y[~test], x[test], y[test], [x.shape[1]],
+                                 regularization_c).result.counts
+            rates[f] = (counts.fp + counts.fn) / counts.total
         repeat_scores[rep] = rates.mean()
     return CrossValResult(k=k, repeats=repeats, seed=seed,
                           mean_score=float(repeat_scores.mean()),

@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .dataset import (SynthSpec, load_recording, save_recording, session_split_k
                       synthesize_dataset)
 from .errors import ConfigError, QeegError
 from .pipeline import (SWEEP_AXES, FeatureCache, PipelineParams, evaluate_model,
-                       fit_pca, sweep_parameters, train_pipeline)
+                       evaluate_quadruple, fit_pca, sweep_parameters)
 from .qpca import ChannelQuadruple, QpcaModel
 from .spectral import BAND_NAMES
 
@@ -164,8 +165,7 @@ def _params_from_args(args, sweeps: bool) -> PipelineParams:
 
 
 def _channels_arg(value: str) -> tuple:
-    channels = tuple(c.strip() for c in value.split(",") if c.strip())
-    return channels
+    return tuple(c.strip() for c in value.split(",") if c.strip())
 
 
 def _require_quadruple(args) -> tuple:
@@ -233,8 +233,11 @@ def cmd_train(args) -> int:
     params = _params_from_args(args, sweeps=False)
     cache = _load_cache(args, args.segment_seconds)
     train_keys, _ = session_split_keys(cache.keys)
-    model, svm = train_pipeline(cache, train_keys, quadruple, args.band, params)
-    train_metrics = evaluate_model(model, svm, cache, train_keys)
+    # train sweeps no p: the trial's one SVM, scored on its own training keys
+    outcome = evaluate_quadruple(cache, train_keys, train_keys, quadruple, args.band, params)
+    model = replace(outcome.pca, band=args.band, quadruple=ChannelQuadruple(quadruple),
+                    segment_seconds=cache.segment_seconds, projection=params.projection)
+    svm, train_metrics = outcome.svm, outcome.result
     data = {
         "qpca": model.to_json(),
         "svm": {"weights": svm.weights.tolist(), "bias": svm.bias,
@@ -345,7 +348,7 @@ def cmd_crossval(args) -> int:
     keys = list(cache.keys)
     vectors = cache.vectors(keys, quadruple, args.band)
     model, _ = fit_pca(qpca.fit, vectors, params)
-    feats = qpca.project(qpca.transform(model, vectors), params.projection)
+    feats = qpca.features(model, vectors, params.projection)
     result = cross_validate(feats, cache.labels_pm1(keys), k=args.k,
                             repeats=args.repeats, seed=args.seed,
                             regularization_c=params.svm_c,

@@ -41,13 +41,11 @@ def measure_values(cache: FeatureCache, keys, channels, band: str) -> dict:
     """Per-sample first-component measure values, split by class label.
 
     `channels` is an ordered tuple of 3 (pure embedding) or 4 (full
-    embedding) montage names."""
-    if len(channels) not in (3, 4):
-        raise ParameterError(f"need 3 or 4 channels, got {len(channels)}")
+    embedding) montage names; `FeatureCache.vectors` rejects other sizes."""
     keys = list(keys)
     vectors = cache.vectors(keys, tuple(channels), band)
     model = qpca.fit(vectors, p=1)
-    measures = qpca.project(qpca.transform(model, vectors), "mean").ravel()
+    measures = qpca.features(model, vectors, "mean").ravel()
     out: dict = {}
     for key, value in zip(keys, measures):
         out.setdefault(cache.labels[key], []).append(float(value))

@@ -1,5 +1,6 @@
-"""Shared machinery: per-recording feature cache and the single-trial
-featurize -> embed -> QPCA -> project -> SVM -> metrics cycle.
+"""Shared machinery: per-recording feature cache and the one trial,
+gather -> PCA -> features -> SVMs -> metrics, for the QPCA arm and the
+real-PCA arm alike (`evaluate_quadruple`).
 
 A FeatureCache holds relative band powers for every recording at one
 segmentation setting in one array, a row per (subject_id, session_index)
@@ -18,24 +19,19 @@ from typing import ClassVar
 import numpy as np
 
 from . import qpca
-from .classifier import (MetricsResult, confusion, metrics, svm_fit, svm_fit_prefixes,
-                         svm_predict, svm_predict_prefixes)
+from .classifier import MetricsResult, TrialOutcome, best_over_p, confusion, metrics, svm_predict
 from .dataset import LABELS
 from .errors import ParameterError, ValidationError
 from .spectral import BAND_NAMES, band_power_matrix
 
-__all__ = ["PipelineParams", "FeatureCache", "TrialOutcome", "rotation_class_key",
-           "rotation_classes", "fit_pca", "best_over_p", "evaluate_quadruple",
-           "train_pipeline", "evaluate_model", "SWEEP_AXES", "sweep_parameters"]
+__all__ = ["PipelineParams", "FeatureCache", "rotation_class_key", "rotation_classes",
+           "fit_pca", "QPCA_ARM", "evaluate_quadruple", "evaluate_model", "SWEEP_AXES",
+           "sweep_parameters"]
 
 POSITIVE_LABEL = "AD"  # a true positive is a correctly detected AD sample
 CACHE_HEADER = "subject_id,session_index,label,channel,band,segment_index,value"
 # the PipelineParams fields a sweep varies, and the parser of each grid value
 SWEEP_AXES = {"segment_seconds": float, "projection": str, "p": int}
-
-
-def label_sign(label: str) -> float:
-    return 1.0 if label == POSITIVE_LABEL else -1.0
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,7 @@ class FeatureCache:
             raise ParameterError(f"channel {channel!r} not in montage {self.channels}") from None
 
     def labels_pm1(self, keys) -> np.ndarray:
-        return np.array([label_sign(self.labels[k]) for k in keys])
+        return np.array([1.0 if self.labels[k] == POSITIVE_LABEL else -1.0 for k in keys])
 
     def band_powers(self, keys, channels, band: str) -> np.ndarray:
         """Powers of one band for the given keys and channels, in their
@@ -324,20 +320,6 @@ def rotation_classes(tuples):
     return firsts, classes
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    acc: float | None
-    sen: float | None
-    spe: float | None
-    p_used: int
-    result: MetricsResult
-
-    def to_json(self) -> dict:
-        out = self.result.to_json()
-        out["p_used"] = self.p_used
-        return out
-
-
 def fit_pca(fit, rows, params: PipelineParams):
     """(model, candidates): `fit` (`qpca.fit` or `baseline.fit_real_pca`) on
     the training rows, and the component counts a trial scores.  A fixed `p`
@@ -352,51 +334,34 @@ def fit_pca(fit, rows, params: PipelineParams):
     return model, list(range(1, model.p + 1)) if sweep else [model.p]
 
 
-def best_over_p(train_feats, y_train, test_feats, y_test, candidates,
-                svm_c: float) -> TrialOutcome:
-    """One SVM per candidate p on the leading p feature columns, trained in
-    lockstep and scored in one pass; the most test hits win (ties resolve to
-    the smallest component count)."""
-    models = svm_fit_prefixes(train_feats, y_train, candidates, regularization_c=svm_c)
-    pred = svm_predict_prefixes(models, test_feats)  # (P, n_test)
-    best = int(np.argmax((pred == y_test).sum(axis=1)))
-    m = metrics(confusion(y_test, pred[best]))
-    return TrialOutcome(acc=m.acc, sen=m.sen, spe=m.spe, p_used=candidates[best], result=m)
+# the QPCA arm looks up `FeatureCache.vectors` and `qpca.fit` when it runs, so
+# that a wrapped one (perfbench/child.py traces both) is the one called
+QPCA_ARM = (lambda cache, *args: cache.vectors(*args),
+            lambda rows, **kwargs: qpca.fit(rows, **kwargs), qpca.features)
 
 
 def evaluate_quadruple(cache: FeatureCache, train_keys, test_keys, quadruple,
-                       band: str, params: PipelineParams) -> TrialOutcome:
-    """One full train/test cycle, scored by `best_over_p`."""
+                       band: str, params: PipelineParams, arm=QPCA_ARM) -> TrialOutcome:
+    """The one trial of an arm, QPCA_ARM or `baseline.REAL_ARM`, a (gather,
+    fit, features) triple: gather(cache, keys, channels, band) the rows of
+    both sides, fit_pca(fit, ...) on the training rows, features(model, rows,
+    projection) and `best_over_p`.  The outcome carries the PCA model."""
+    gather, fit, features = arm
     channels = tuple(quadruple)
-    q_train = cache.vectors(train_keys, channels, band)
-    q_test = cache.vectors(test_keys, channels, band)
-    model, candidates = fit_pca(qpca.fit, q_train, params)
-    train_feats = qpca.project(qpca.transform(model, q_train), params.projection)
-    test_feats = qpca.project(qpca.transform(model, q_test), params.projection)
-    return best_over_p(train_feats, cache.labels_pm1(train_keys),
-                       test_feats, cache.labels_pm1(test_keys), candidates, params.svm_c)
-
-
-def train_pipeline(cache: FeatureCache, train_keys, quadruple, band: str,
-                   params: PipelineParams):
-    """Fit QPCA + SVM on the training keys at the component count `fit_pca`
-    fits (one model: no test-side choice among the candidates)."""
-    channels = tuple(quadruple)
-    q_train = cache.vectors(train_keys, channels, band)
-    model, _ = fit_pca(qpca.fit, q_train, params)
-    model = replace(model, band=band, quadruple=qpca.ChannelQuadruple(channels),
-                    segment_seconds=cache.segment_seconds, projection=params.projection)
-    feats = qpca.project(qpca.transform(model, q_train), params.projection)
-    svm = svm_fit(feats, cache.labels_pm1(train_keys), regularization_c=params.svm_c)
-    return model, svm
+    train_rows = gather(cache, train_keys, channels, band)
+    test_rows = gather(cache, test_keys, channels, band)
+    model, candidates = fit_pca(fit, train_rows, params)
+    outcome = best_over_p(features(model, train_rows, params.projection),
+                          cache.labels_pm1(train_keys),
+                          features(model, test_rows, params.projection),
+                          cache.labels_pm1(test_keys), candidates, params.svm_c)
+    return replace(outcome, pca=model)
 
 
 def evaluate_model(model, svm, cache: FeatureCache, keys) -> MetricsResult:
     """Metrics of a fitted (QPCA, SVM) pair on the given recordings."""
-    channels = tuple(model.quadruple)
-    q = cache.vectors(keys, channels, model.band)
-    feats = qpca.project(qpca.transform(model, q), model.projection)
-    pred = svm_predict(svm, feats)
+    q = cache.vectors(keys, tuple(model.quadruple), model.band)
+    pred = svm_predict(svm, qpca.features(model, q, model.projection))
     return metrics(confusion(cache.labels_pm1(keys), pred))
 
 
@@ -412,9 +377,8 @@ def sweep_parameters(recordings, train_keys, test_keys, quadruple, band: str,
     if not values:
         raise ParameterError("empty sweep grid")
 
-    cache = None
-    if axis != "segment_seconds":
-        cache = FeatureCache.from_recordings(recordings, params.segment_seconds)
+    cache = (None if axis == "segment_seconds"
+             else FeatureCache.from_recordings(recordings, params.segment_seconds))
     rows = []
     for value in values:
         row = {"axis": axis, "value": value, "acc": None, "sen": None, "spe": None,

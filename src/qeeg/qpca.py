@@ -12,6 +12,14 @@ different inputs.
 
 A quaternion feature is collapsed to a real scalar by one of four
 projection rules (mean, absolute, norm, phase).
+
+QPCA is real PCA of the covariance summed over the units: with S the real
+covariance of the rows' components [W X Y Z] (centred, over m, as `fit`
+has it) and L_u the 4 x 4 left multiplication by u, the eigenvalues of
+sum_{u in 1,i,j,k} kron(L_u, I) S kron(L_u, I)^T are `fit`'s, each 4 times.
+The sum drops the improper part of S (Via, Ramirez & Santamaria,
+"Properness and widely linear processing of quaternion random vectors",
+IEEE Trans. Inf. Theory 2010).
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from .qlinalg import QuaternionMatrix, qeigh, truncate
 
 __all__ = [
     "ChannelQuadruple", "QpcaModel", "PROJECTION_METHODS",
-    "embed_rows", "select_components", "fit", "transform", "project",
+    "embed_rows", "select_components", "fit", "transform", "project", "features",
 ]
 
 PROJECTION_METHODS = ("mean", "absolute", "norm", "phase")
@@ -181,3 +189,8 @@ def project(features: QuaternionMatrix, method: str) -> np.ndarray:
         # the zero quaternion maps to 0 by convention
         return np.arctan2(np.sqrt(x * x + y * y + z * z), w)
     raise ParameterError(f"unknown projection {method!r}; expected one of {PROJECTION_METHODS}")
+
+
+def features(model: QpcaModel, vectors: QuaternionMatrix, projection: str) -> np.ndarray:
+    """The real features of row vectors: `transform`, then `project`."""
+    return project(transform(model, vectors), projection)

@@ -83,9 +83,6 @@ class Quaternion:
         return math.sqrt(self.w * self.w + self.x * self.x
                          + self.y * self.y + self.z * self.z)
 
-    def isclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return (self - other).norm() <= tol
-
     def __repr__(self) -> str:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 

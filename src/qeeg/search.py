@@ -30,7 +30,9 @@ __all__ = [
     "enumerate_channel_tuples", "count_tuples", "run_search", "summarize", "rank",
 ]
 
-# 10/20 lobe assignment; unlisted electrodes take their mirror's group
+# 10/20 lobe assignment; an unlisted electrode has no lobe.  C3, Cz and C4,
+# central in the 10-20 system, count as parietal here, and `rank` breaks
+# mean_acc ties by combination name (the montage-ordered tuple).
 LOBE_GROUPS = {
     "frontal": ("Fp1", "Fp2", "F3", "F4", "Fz"),
     "temporal": ("F7", "F8", "T7", "T8", "P7", "P8"),
@@ -144,22 +146,19 @@ def summarize(results, montage) -> list:
 
 
 def rank(summaries) -> dict:
-    """Summaries sorted by descending mean accuracy (ties lexicographic by
-    combination), annotated with 10/20 lobe groups."""
+    """Summaries sorted by descending mean accuracy (ties by combination
+    name), annotated with the `LOBE_GROUPS` lobes."""
     if not summaries:
         raise ParameterError("nothing to rank: empty summary list")
     key = lambda s: (-(s.mean_acc if s.mean_acc is not None else -1.0), s.combination)
-    ordered = sorted(summaries, key=key)
-    entries = []
-    for s in ordered:
-        entries.append({
-            "combination": list(s.combination),
-            "lobes": sorted({lobe_of(c) for c in s.combination if lobe_of(c)}),
-            "mean_acc": s.mean_acc, "mean_sen": s.mean_sen, "mean_spe": s.mean_spe,
-            "best_permutation": list(s.best_permutation) if s.best_permutation else None,
-            "best_acc": s.best_acc,
-            "n_invalid": s.n_invalid,
-        })
+    entries = [{
+        "combination": list(s.combination),
+        "lobes": sorted({lobe_of(c) for c in s.combination if lobe_of(c)}),
+        "mean_acc": s.mean_acc, "mean_sen": s.mean_sen, "mean_spe": s.mean_spe,
+        "best_permutation": list(s.best_permutation) if s.best_permutation else None,
+        "best_acc": s.best_acc,
+        "n_invalid": s.n_invalid,
+    } for s in sorted(summaries, key=key)]
     return {"band": summaries[0].band, "n_combinations": len(entries),
             "n_invalid_total": sum(s.n_invalid for s in summaries),
             "ranked": entries}

@@ -204,6 +204,25 @@ def test_cross_validation_deterministic():
     assert not all(np.array_equal(a, b) for a, b in zip(r1.fold_ids, r3.fold_ids))
 
 
+@pytest.mark.parametrize("stratified", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cross_validation_matches_a_fold_by_fold_loop(seed, stratified):
+    # each fold's rate, recomputed from the fold ids by svm_fit, svm_predict
+    # and np.mean(pred != y), is the same float
+    x, y = blobs(np.random.default_rng(seed), n_per_class=15, gap=1.5, dim=3)
+    res = cross_validate(x, y, k=5, repeats=10, seed=seed, stratified=stratified)
+    expected = []
+    for folds in res.fold_ids:
+        rates = np.empty(5)
+        for f in range(5):
+            test = folds == f
+            model = svm_fit(x[~test], y[~test])
+            rates[f] = np.mean(svm_predict(model, x[test]) != y[test])
+        expected.append(rates.mean())
+    assert 0 < res.mean_score
+    assert np.array_equal(res.repeat_scores, expected)
+
+
 def test_cross_validation_perfect_separation_scores_zero():
     rng = np.random.default_rng(7)
     x, y = blobs(rng, n_per_class=15, gap=8.0)

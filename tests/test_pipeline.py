@@ -8,11 +8,11 @@ import pytest
 from conftest import synthetic_cache
 from qeeg import qpca
 from qeeg.baseline import concatenated_features, fit_real_pca
-from qeeg.classifier import (confusion, metrics, svm_fit, svm_fit_prefixes, svm_predict,
-                             svm_predict_prefixes)
+from qeeg.classifier import (best_over_p, confusion, metrics, svm_fit, svm_fit_prefixes,
+                             svm_predict, svm_predict_prefixes)
 from qeeg.errors import ParameterError, ValidationError
-from qeeg.pipeline import (FeatureCache, PipelineParams, best_over_p, evaluate_quadruple,
-                           evaluate_model, fit_pca, sweep_parameters, train_pipeline)
+from qeeg.pipeline import (FeatureCache, PipelineParams, evaluate_model,
+                           evaluate_quadruple, fit_pca, sweep_parameters)
 from qeeg.search import enumerate_channel_tuples
 from qeeg.spectral import band_power_matrix
 
@@ -322,15 +322,24 @@ def test_evaluate_quadruple_threshold_mode(small_cache, small_keys):
 
 
 def test_train_then_evaluate_roundtrip(small_cache, small_keys):
+    # `qeeg train`: one trial with the training keys on both sides, whose SVM
+    # is svm_fit on the projected training features and whose scores are
+    # that SVM's on them
     train, test = small_keys
-    params = PipelineParams(p=4)
-    model, svm = train_pipeline(small_cache, train, ("F8", "T7", "T8", "P4"),
-                                "alpha", params)
-    assert model.p == 4 and model.band == "alpha"
-    train_metrics = evaluate_model(model, svm, small_cache, train)
-    assert train_metrics.acc >= 75.0
-    test_metrics = evaluate_model(model, svm, small_cache, test)
-    assert test_metrics.counts.total == len(test)
+    quad = ("F8", "T7", "T8", "P4")
+    out = evaluate_quadruple(small_cache, train, train, quad, "alpha", PipelineParams(p=4))
+    assert out.pca.p == out.p_used == 4
+    feats = qpca.features(out.pca, small_cache.vectors(train, quad, "alpha"), "mean")
+    y = small_cache.labels_pm1(train)
+    svm = svm_fit(feats, y)
+    assert np.array_equal(out.svm.weights, svm.weights) and out.svm.bias == svm.bias
+    assert np.array_equal(out.svm.alphas, svm.alphas)
+    assert out.result == metrics(confusion(y, svm_predict(svm, feats)))
+    assert out.acc >= 75.0
+    model = replace(out.pca, band="alpha", quadruple=qpca.ChannelQuadruple(quad),
+                    projection="mean")
+    assert evaluate_model(model, out.svm, small_cache, train) == out.result
+    assert evaluate_model(model, out.svm, small_cache, test).counts.total == len(test)
 
 
 def test_deterministic_evaluation(small_cache, small_keys):
@@ -352,8 +361,8 @@ def test_lockstep_sweep_matches_fit_per_prefix(small_cache, small_keys, limit):
         q_train = small_cache.vectors(train, quad, "alpha")
         q_test = small_cache.vectors(test, quad, "alpha")
         model, candidates = fit_pca(qpca.fit, q_train, PipelineParams(p_sweep_limit=limit))
-        train_feats = qpca.project(qpca.transform(model, q_train), "mean")
-        test_feats = qpca.project(qpca.transform(model, q_test), "mean")
+        train_feats = qpca.features(model, q_train, "mean")
+        test_feats = qpca.features(model, q_test, "mean")
 
         lockstep = svm_fit_prefixes(train_feats, y_train, candidates)
         lockstep_pred = svm_predict_prefixes(lockstep, test_feats)

@@ -1,5 +1,6 @@
 """Quaternion PCA tests: embedding, fit/transform consistency, projections,
-and the classical-PCA reduction oracle for real-embedded data."""
+the classical-PCA reduction oracle for real-embedded data, and the real
+covariance summed over left multiplication by the units."""
 from dataclasses import replace
 
 import numpy as np
@@ -231,3 +232,37 @@ def test_spectrum_tie_flag():
     with pytest.warns(RuntimeWarning, match="spectrum tie"):
         model = fit(q, p=1)
     assert model.spectrum_tie
+
+
+def _left_multiplication(u) -> np.ndarray:
+    """The 4 x 4 matrix of q -> u q on (w, x, y, z)."""
+    a, b, c, d = u
+    return np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
+
+
+def _assert_unit_sum_identity(q):
+    # S, the centred real Gram matrix of [W X Y Z] over m, summed over
+    # kron(L_u, I_n) S kron(L_u, I_n)^T for u in {1, i, j, k}: its
+    # eigenvalues are QPCA's, each 4 times (qpca module docstring)
+    m, n = q.shape
+    rows = np.hstack([q.w, q.x, q.y, q.z])
+    rows = rows - rows.mean(axis=0)
+    s = rows.T @ rows / m
+    units = [np.kron(_left_multiplication(u), np.eye(n)) for u in np.eye(4)]
+    summed = sum(k @ s @ k.T for k in units)
+    expected = np.repeat(fit(q, p=1).eigenvalues, 4)
+    got = np.linalg.eigvalsh(summed)[::-1]
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10 * expected[0])
+
+
+def test_eigenvalues_are_the_unit_summed_real_covariance_spectrum():
+    rng = np.random.default_rng(11)
+    scales = np.array([1.0, 0.05, 4.0, 0.3])[:, None, None]
+    offsets = np.array([2.0, -1.0, 0.5, 3.0])[:, None, None]
+    _assert_unit_sum_identity(QuaternionMatrix.from_components(
+        *(offsets + scales * rng.standard_normal((4, 30, 7)))))
+
+
+def test_unit_sum_identity_on_a_cache_quadruple(small_cache):
+    _assert_unit_sum_identity(small_cache.vectors(small_cache.keys, ("F8", "T7", "T8", "P4"),
+                                                  "alpha"))

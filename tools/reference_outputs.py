@@ -13,9 +13,10 @@ two or more usable cores, and pinned to one core with os.sched_setaffinity,
 where it loads serially (skipped where there is no such call); the two
 features.csv lines of the listing must hash the same.  Every branch of the
 p rule (`pipeline.fit_pca`) runs: train at a fixed p and at an energy
-threshold, baseline at a threshold and at its default p sweep.  sweep runs along
-each axis: p and the segment length, each with one failing grid point,
-and every projection.  It prints each command line and its stdout, then
+threshold, baseline at a fixed p, at a threshold and at its default p
+sweep.  crossval runs with stratified and with unstratified folds.  sweep
+runs along each axis: p and the segment length, each with one failing grid
+point, and every projection.  It prints each command line and its stdout, then
 one `sha256  relative/path` line per file under OUT (outputs and run
 manifests).
 
@@ -71,6 +72,8 @@ COMMANDS = [
      "--cache", "features/features.csv", "--out", "connectivity_quad"],
     ["crossval", "--data", "data", *QUAD, "--k", "4", "--repeats", "5", "--seed", "9",
      "--out", "crossval"],
+    ["crossval", "--data", "data", *QUAD, "--k", "4", "--repeats", "5", "--seed", "9",
+     "--unstratified", "--out", "crossval_unstratified"],
     # p = 99 fails, and its error row holds an escaped comma
     ["sweep", "--data", "data", *QUAD, "--axis", "pcs", "--values", "1,2,99",
      "--out", "sweep"],
@@ -82,6 +85,7 @@ COMMANDS = [
     # the defaults: a p sweep on both arms
     ["baseline", "--data", "data", *QUAD, "--out", "baseline_sweep"],
     ["baseline", "--data", "data", *QUAD, "--pc-threshold", "0.8", "--out", "baseline"],
+    ["baseline", "--data", "data", *QUAD, "--pcs", "2", "--out", "baseline_fixed"],
 ]
 
 
