@@ -90,13 +90,11 @@ def _validated(features, labels, regularization_c: float):
     return x, y, float(regularization_c)
 
 
-def svm_fit(features, labels, regularization_c: float = 1.0, tol: float = _GAP_TOL,
+def svm_fit(features, labels, regularization_c: float = 1.0,
             max_iter: int = 200_000) -> LinearSvmModel:
-    """Train a soft-margin linear SVM to duality gap <= tol.  No caller sets
-    tol; it stays an argument because perfbench/child.py reads it to count
-    unconverged fits."""
+    """Train a soft-margin linear SVM to duality gap <= `_GAP_TOL`."""
     x, y, c = _validated(features, labels, regularization_c)
-    return _smo(x, y, [x.shape[1]], c, tol, max_iter)[0]
+    return _smo(x, y, [x.shape[1]], c, max_iter)[0]
 
 
 def svm_fit_prefixes(features, labels, widths, regularization_c: float = 1.0,
@@ -108,11 +106,10 @@ def svm_fit_prefixes(features, labels, widths, regularization_c: float = 1.0,
     widths = [int(p) for p in widths]
     if not widths or not all(1 <= p <= x.shape[1] for p in widths):
         raise ParameterError(f"widths {widths} outside [1, {x.shape[1]}]")
-    return _smo(x, y, widths, c, _GAP_TOL, max_iter)
+    return _smo(x, y, widths, c, max_iter)
 
 
-def _smo(x: np.ndarray, y: np.ndarray, widths, c: float, tol: float,
-         max_iter: int) -> list:
+def _smo(x: np.ndarray, y: np.ndarray, widths, c: float, max_iter: int) -> list:
     """Maximal-violating-pair SMO (Keerthi et al., "Improvements to Platt's
     SMO algorithm for SVM classifier design", Neural Computation 2001) for
     P problems in lockstep, problem k on the first widths[k] columns of x.
@@ -121,8 +118,8 @@ def _smo(x: np.ndarray, y: np.ndarray, widths, c: float, tol: float,
     per problem along a direction masked to its columns, and computes X w for
     all of them in one call.  The iteration counter is shared, so each
     problem takes the steps and gap checks it would take alone.  A problem
-    retires when its duality gap is within tol or no pair violates the KKT
-    conditions.
+    retires when its duality gap is within `_GAP_TOL` or no pair violates
+    the KKT conditions.
 
     The state is beta = y * alpha, which turns the box 0 <= alpha <= C into
     lower <= beta <= upper and each pair update into beta_i += t, beta_j -= t;
@@ -189,7 +186,7 @@ def _smo(x: np.ndarray, y: np.ndarray, widths, c: float, tol: float,
             ids, w_sq = live[check], np.vecdot(w[check], w[check])
             bias[ids], primal = _optimal_bias(xw[check], y, w_sq, c)
             gap[ids] = primal - (np.abs(beta[check]).sum(axis=1) - 0.5 * w_sq)
-            done = np.flatnonzero((gap[live] <= tol) | stop)
+            done = np.flatnonzero((gap[live] <= _GAP_TOL) | stop)
             if done.size:
                 retire(done, it)
                 if done.size == len(live):
@@ -203,7 +200,7 @@ def _smo(x: np.ndarray, y: np.ndarray, widths, c: float, tol: float,
             retire(np.arange(len(live)), it)
 
     for model in models:
-        if model.duality_gap > tol:
+        if model.duality_gap > _GAP_TOL:
             warnings.warn(f"SVM stopped after {model.iterations} iterations with duality gap "
                           f"{model.duality_gap:.3e}", RuntimeWarning, stacklevel=3)
     return models

@@ -329,12 +329,9 @@ def cmd_connectivity(args) -> int:
     keys = train_keys + test_keys if args.include_testing else train_keys
     bands = [args.band] if args.band else list(BAND_NAMES)
     config = _config_echo(args, bands=bands, include_testing=args.include_testing)
-    tensors_by_band, report = connectivity.measure_connectivity(
-        cache, keys, args.mode, bands)
-    files = {f"tensor_{band}_{label}.json":
-             {**tensor.to_json(), "skipped_tuples": report.skipped_by_band[band]}
-             for band, tensors in tensors_by_band.items()
-             for label, tensor in sorted(tensors.items())}
+    report = connectivity.measure_connectivity(cache, keys, args.mode, bands)
+    files = {f"tensor_{band}_{label}.json": tensor for band in bands
+             for label, tensor in report.tensors_json(band).items()}
     files["distance_report.json"] = report.to_json()
     means = [(band, report.mean_dist(band)) for band in bands]
     dists = ", ".join(f"{b}={'n/a' if m is None else f'{m:.4f}'}" for b, m in means)

@@ -9,8 +9,10 @@ means are comparable and the interclass distance
 
     Dist = | mean(measures_NonAD) - mean(measures_AD) |
 
-is well defined.  Tensors map every ordered distinct channel tuple to the
-class-mean measure; degenerate tuples are recorded as missing entries.
+is well defined.  `measure_connectivity` keeps one table per band, each
+measured ordered distinct channel tuple -> (class means, Dist), and every
+output derives from it: the per-class tensors, the distance report, the
+skip counts and the mean Dist.  Degenerate tuples have no row.
 
 `measure_values` runs once per rotation class and band: on the first
 member of each class (`pipeline.rotation_classes`, which gives the symmetry
@@ -31,8 +33,8 @@ from .errors import DegenerateDataError, ParameterError, ValidationError
 from .pipeline import FeatureCache, rotation_classes
 from .spectral import BAND_NAMES
 
-__all__ = ["ConnectivityTensor", "DistanceReport", "measure_values",
-           "interclass_distance", "measure_connectivity"]
+__all__ = ["ConnectivityReport", "measure_values", "interclass_distance",
+           "measure_connectivity"]
 
 _MODE_SIZES = {"triple": 3, "quadruple": 4}
 
@@ -61,25 +63,6 @@ def interclass_distance(ns_measures, ad_measures) -> float:
     return float(abs(ns.mean() - ad.mean()))
 
 
-@dataclass(frozen=True, eq=False)
-class ConnectivityTensor:
-    """Sparse map from ordered distinct channel tuples to measure values."""
-
-    mode: str
-    band: str
-    class_label: str
-    axis_labels: tuple
-    entries: dict  # ordered channel tuple -> class-mean measure
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode, "band": self.band, "class": self.class_label,
-            "axis_labels": list(self.axis_labels),
-            "entries": [{"channels": list(chs), "value": self.entries[chs]}
-                        for chs in sorted(self.entries)],
-        }
-
-
 def _class_row(cache: FeatureCache, keys, channels, band: str):
     """(class means, Dist) of one tuple; None when it is degenerate."""
     try:
@@ -91,84 +74,83 @@ def _class_row(cache: FeatureCache, keys, channels, band: str):
 
 
 @dataclass(frozen=True, eq=False)
-class DistanceReport:
-    """Interclass distances and class measure distributions per band.
+class ConnectivityReport:
+    """Class means and Dist per band, the one table every output reads.
 
-    `tuples` lists every tuple that some band measured; a band that skipped
-    one of them holds None at its place."""
+    `rows_by_band[band]` maps each tuple the band measured, in enumeration
+    order, to ({label: class mean}, Dist); a degenerate tuple has no row.
+    `tuples` is every enumerated tuple, lexicographic in montage order."""
 
     mode: str
-    n_ns: int
-    n_ad: int
-    bands: tuple
+    axis_labels: tuple
+    samples: dict  # label -> number of samples
     tuples: tuple
-    dist_by_band: dict        # band -> per-tuple distances
-    class_means_by_band: dict  # band -> {label: per-tuple class means}
-    skipped_by_band: dict     # band -> count of degenerate tuples
+    rows_by_band: dict  # band -> {tuple: ({label: class mean}, Dist)}
+
+    def skipped(self, band: str) -> int:
+        return len(self.tuples) - len(self.rows_by_band[band])
 
     def mean_dist(self, band: str) -> float | None:
         """Mean Dist over the tuples the band measured; None when it
         skipped every tuple."""
-        measured = [d for d in self.dist_by_band[band] if d is not None]
-        return float(np.mean(measured)) if measured else None
+        dists = [dist for _, dist in self.rows_by_band[band].values()]
+        return float(np.mean(dists)) if dists else None
+
+    def tensors_json(self, band: str) -> dict:
+        """{label: tensor of the band's sorted tuples -> class mean}; {} when
+        the band skipped every tuple."""
+        rows = self.rows_by_band[band]
+        return {label: {
+            "mode": self.mode, "band": band, "class": label,
+            "axis_labels": list(self.axis_labels),
+            "entries": [{"channels": list(chs), "value": rows[chs][0][label]}
+                        for chs in sorted(rows)],
+            "skipped_tuples": self.skipped(band),
+        } for label in (sorted(self.samples) if rows else ())}
 
     def to_json(self) -> dict:
+        """The distance report over the tuples some band measured; a band
+        that skipped one of them holds None at its place."""
+        bands = list(self.rows_by_band)
+        kept = [chs for chs in self.tuples
+                if any(chs in rows for rows in self.rows_by_band.values())]
+        cells = {b: [self.rows_by_band[b].get(chs) for chs in kept] for b in bands}
         return {
             "mode": self.mode,
-            "samples": {"NonAD": self.n_ns, "AD": self.n_ad},
-            "bands": list(self.bands),
-            "tuples": [list(t) for t in self.tuples],
-            "dist": {b: list(self.dist_by_band[b]) for b in self.bands},
-            "mean_dist": {b: self.mean_dist(b) for b in self.bands},
+            "samples": dict(self.samples),
+            "bands": bands,
+            "tuples": [list(t) for t in kept],
+            "dist": {b: [None if c is None else c[1] for c in cells[b]] for b in bands},
+            "mean_dist": {b: self.mean_dist(b) for b in bands},
             "class_means": {
-                b: {label: list(vals)
-                    for label, vals in self.class_means_by_band[b].items()}
-                for b in self.bands},
-            "skipped": dict(self.skipped_by_band),
+                b: {label: [None if c is None else c[0][label] for c in cells[b]]
+                    for label in self.samples}
+                for b in bands},
+            "skipped": {b: self.skipped(b) for b in bands},
         }
 
 
-def measure_connectivity(cache: FeatureCache, keys, mode: str, bands=BAND_NAMES):
-    """Tensors and distances over every ordered distinct channel tuple,
+def measure_connectivity(cache: FeatureCache, keys, mode: str,
+                         bands=BAND_NAMES) -> ConnectivityReport:
+    """Class means and Dist over every ordered distinct channel tuple,
     lexicographic in montage order, from one `measure_values` call per
-    rotation class and band.
-
-    Returns ({band: {class_label: ConnectivityTensor}}, DistanceReport)."""
+    rotation class and band."""
     size = _MODE_SIZES.get(mode)
     if size is None:
         raise ParameterError(f"mode must be 'triple' or 'quadruple', got {mode!r}")
     keys = list(keys)
-    counts = {"NonAD": 0, "AD": 0}
+    samples = {"NonAD": 0, "AD": 0}
     for key in keys:
-        counts[cache.labels[key]] += 1
-    if not all(counts.values()):
+        samples[cache.labels[key]] += 1
+    if not all(samples.values()):
         raise ValidationError(f"connectivity needs recordings of both classes, got "
-                              f"{counts['NonAD']} NonAD and {counts['AD']} AD")
-    tuples = list(permutations(cache.channels, size))
+                              f"{samples['NonAD']} NonAD and {samples['AD']} AD")
+    tuples = tuple(permutations(cache.channels, size))
     firsts, classes = rotation_classes(tuples)
-    tensors_by_band, rows_by_band, skipped_by_band = {}, {}, {}
+    rows_by_band = {}
     for band in bands:
         measured = [_class_row(cache, keys, channels, band) for channels in firsts]
-        rows = {chs: measured[c] for chs, c in zip(tuples, classes)
-                if measured[c] is not None}
-        skipped_by_band[band] = len(tuples) - len(rows)
-        labels = sorted(counts) if rows else []
-        tensors_by_band[band] = {label: ConnectivityTensor(
-            mode=mode, band=band, class_label=label, axis_labels=cache.channels,
-            entries={chs: means[label] for chs, (means, _) in rows.items()})
-            for label in labels}
-        rows_by_band[band] = rows
-    kept = tuple(chs for chs in tuples if any(chs in rows_by_band[b] for b in bands))
-    dist_by_band, means_by_band = {}, {}
-    for band, rows in rows_by_band.items():
-        cells = [rows.get(chs) for chs in kept]
-        dist_by_band[band] = [None if cell is None else cell[1] for cell in cells]
-        means_by_band[band] = {
-            label: [None if cell is None else cell[0][label] for cell in cells]
-            for label in ("NonAD", "AD")}
-    report = DistanceReport(mode=mode, n_ns=counts["NonAD"], n_ad=counts["AD"],
-                            bands=tuple(bands), tuples=kept,
-                            dist_by_band=dist_by_band,
-                            class_means_by_band=means_by_band,
-                            skipped_by_band=skipped_by_band)
-    return tensors_by_band, report
+        rows_by_band[band] = {chs: measured[c] for chs, c in zip(tuples, classes)
+                              if measured[c] is not None}
+    return ConnectivityReport(mode=mode, axis_labels=cache.channels, samples=samples,
+                              tuples=tuples, rows_by_band=rows_by_band)

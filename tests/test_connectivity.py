@@ -14,9 +14,15 @@ from qeeg import qpca
 
 
 def alpha_tensors(cache, keys, mode):
-    """The alpha band's tensors by class and its skipped-tuple count."""
-    tensors, report = measure_connectivity(cache, keys, mode, ("alpha",))
-    return tensors["alpha"], report.skipped_by_band["alpha"]
+    """The alpha band's tensor entries ({tuple: value}) by class and its
+    skipped-tuple count."""
+    report = measure_connectivity(cache, keys, mode, ("alpha",))
+    return ({label: entries(tensor) for label, tensor in report.tensors_json("alpha").items()},
+            report.skipped("alpha"))
+
+
+def entries(tensor):
+    return {tuple(e["channels"]): e["value"] for e in tensor["entries"]}
 
 
 def tuple_dist(cache, keys, channels, band):
@@ -95,9 +101,9 @@ def test_build_tensors_counts(small_cache, small_keys):
     assert skipped == 0
     assert set(tensors) == {"AD", "NonAD"}
     for t in tensors.values():
-        assert len(t.entries) == 5 * 4 * 3  # ordered distinct triples of 5 channels
-        assert all(len(set(chs)) == 3 for chs in t.entries)
-        assert all(np.isfinite(v) for v in t.entries.values())
+        assert len(t) == 5 * 4 * 3  # ordered distinct triples of 5 channels
+        assert all(len(set(chs)) == 3 for chs in t)
+        assert all(np.isfinite(v) for v in t.values())
 
 
 def test_ordered_triple_count_full_montage():
@@ -110,9 +116,10 @@ def test_build_tensors_quadruple_counts():
     rng = np.random.default_rng(4)
     cache = synthetic_cache(rng, channels=("A", "B", "C", "D"), n_keys=10)
     tensors, skipped = alpha_tensors(cache, cache.keys, "quadruple")
-    assert all(len(t.entries) == 24 for t in tensors.values())
+    assert skipped == 0 and set(tensors) == {"AD", "NonAD"}
+    assert all(len(t) == 24 for t in tensors.values())
     triples, _ = alpha_tensors(cache, cache.keys, "triple")
-    assert all(len(t.entries) == 24 for t in triples.values())  # 4*3*2
+    assert all(len(t) == 24 for t in triples.values())  # 4*3*2
 
 
 @pytest.mark.parametrize("mode,size", [("triple", 3), ("quadruple", 4)])
@@ -120,17 +127,19 @@ def test_reduced_report_matches_every_tuple_measured(small_cache, small_keys, mo
     # the report measures one order per rotation class; measuring every
     # ordered tuple on its own gives the same class means and Dist
     train, _ = small_keys
-    _, report = measure_connectivity(small_cache, train, mode)
+    report = measure_connectivity(small_cache, train, mode)
     tuples = list(permutations(small_cache.channels, size))
     assert report.tuples == tuple(tuples)
-    for band in report.bands:
-        for i, channels in enumerate(tuples):
+    assert [tuple(t) for t in report.to_json()["tuples"]] == tuples
+    for band, rows in report.rows_by_band.items():
+        assert list(rows) == tuples
+        for channels in tuples:
+            means, dist = rows[channels]
             by_class = measure_values(small_cache, train, channels, band)
             for label in ("NonAD", "AD"):
-                assert abs(report.class_means_by_band[band][label][i]
-                           - by_class[label].mean()) <= 1e-12, (band, channels)
-            dist = interclass_distance(by_class["NonAD"], by_class["AD"])
-            assert abs(report.dist_by_band[band][i] - dist) <= 1e-12, (band, channels)
+                assert abs(means[label] - by_class[label].mean()) <= 1e-12, (band, channels)
+            alone = interclass_distance(by_class["NonAD"], by_class["AD"])
+            assert abs(dist - alone) <= 1e-12, (band, channels)
 
 
 @pytest.mark.parametrize("mode,size", [("triple", 3), ("quadruple", 4)])
@@ -167,37 +176,64 @@ def test_degenerate_class_skipped_for_each_member():
     # the triples of A, B, C in both rotation directions are degenerate
     tensors, skipped = alpha_tensors(cache, cache.keys, "triple")
     assert skipped == 6
-    assert all(len(t.entries) == 60 - 6 for t in tensors.values())
+    assert all(len(t) == 60 - 6 for t in tensors.values())
+    assert not any(set(chs) == {"A", "B", "C"} for t in tensors.values() for chs in t)
 
 
-def test_report_aligns_bands_that_skip_different_tuples():
+def alpha_skips_abc_report():
     # A, B and C are constant in alpha only, so alpha skips the six orders
     # of their triple and the other bands measure them
     rng = np.random.default_rng(6)
     cache = synthetic_cache(rng)
     alpha = cache.bands.index("alpha")
     cache.grid[:, :3, alpha] = 0.25
-    _, report = measure_connectivity(cache, cache.keys, "triple")
-    assert report.skipped_by_band == {"delta": 0, "theta": 0, "alpha": 6, "beta": 0}
+    return cache, measure_connectivity(cache, cache.keys, "triple")
+
+
+def test_report_aligns_bands_that_skip_different_tuples():
+    cache, report = alpha_skips_abc_report()
+    skipped = {"delta": 0, "theta": 0, "alpha": 6, "beta": 0}
+    assert {band: report.skipped(band) for band in cache.bands} == skipped
     assert report.tuples == tuple(permutations(cache.channels, 3))
     obj = report.to_json()
+    assert obj["skipped"] == skipped
+    tuples = [tuple(t) for t in obj["tuples"]]
+    assert tuples == list(report.tuples)
     abc = set(permutations(("A", "B", "C")))
     for band in cache.bands:
         for values in [obj["dist"][band], *obj["class_means"][band].values()]:
             assert len(values) == 60
-            assert [t for t, v in zip(report.tuples, values) if v is None] == (
+            assert [t for t, v in zip(tuples, values) if v is None] == (
                 sorted(abc) if band == "alpha" else [])
     measured = [d for d in obj["dist"]["alpha"] if d is not None]
     assert len(measured) == 54
     assert obj["mean_dist"]["alpha"] == float(np.mean(measured))
 
 
+def test_tensor_entries_equal_report_class_means():
+    # every tensor entry is the distance report's class mean at its tuple
+    cache, report = alpha_skips_abc_report()
+    obj = report.to_json()
+    column = {tuple(t): i for i, t in enumerate(obj["tuples"])}
+    for band in cache.bands:
+        tensors = report.tensors_json(band)
+        assert sorted(tensors) == ["AD", "NonAD"]
+        for label, tensor in tensors.items():
+            assert tensor["skipped_tuples"] == obj["skipped"][band]
+            assert len(tensor["entries"]) == 60 - obj["skipped"][band]
+            for chs, value in entries(tensor).items():
+                assert value == obj["class_means"][band][label][column[chs]], (band, chs)
+
+
 def test_tensor_json_layout(small_cache, small_keys):
     train, _ = small_keys
-    tensors, _ = alpha_tensors(small_cache, train, "triple")
-    obj = tensors["AD"].to_json()
+    report = measure_connectivity(small_cache, train, "triple", ("alpha",))
+    obj = report.tensors_json("alpha")["AD"]
+    assert list(obj) == ["mode", "band", "class", "axis_labels", "entries",
+                         "skipped_tuples"]
     assert obj["mode"] == "triple" and obj["band"] == "alpha" and obj["class"] == "AD"
     assert obj["axis_labels"] == list(small_cache.channels)
+    assert obj["skipped_tuples"] == 0
     channel_lists = [tuple(e["channels"]) for e in obj["entries"]]
     assert channel_lists == sorted(channel_lists)  # lexicographic order
 
@@ -208,10 +244,11 @@ def test_distance_report_alpha_dominates(small_cache, small_keys):
     alpha = tuple_dist(small_cache, train, quad, "alpha")
     for band in ("delta", "theta", "beta"):
         assert alpha > tuple_dist(small_cache, train, quad, band)
-    _, report = measure_connectivity(small_cache, train, "quadruple")
-    assert report.n_ns + report.n_ad == len(train)
+    report = measure_connectivity(small_cache, train, "quadruple")
+    assert report.samples["NonAD"] + report.samples["AD"] == len(train)
     obj = report.to_json()
     assert obj["mode"] == "quadruple"
+    assert obj["samples"] == report.samples
     assert set(obj["mean_dist"]) == {"delta", "theta", "alpha", "beta"}
 
 
@@ -236,8 +273,9 @@ def test_mode_validation(small_cache, small_keys):
 def test_band_that_skips_every_tuple_has_no_mean_dist():
     rng = np.random.default_rng(6)
     cache = synthetic_cache(rng, channels=("A", "B", "C"), constant_channels=("A", "B", "C"))
-    tensors, report = measure_connectivity(cache, cache.keys, "triple", ("alpha",))
-    assert tensors == {"alpha": {}} and report.skipped_by_band == {"alpha": 6}
+    report = measure_connectivity(cache, cache.keys, "triple", ("alpha",))
+    assert report.tensors_json("alpha") == {} and report.skipped("alpha") == 6
+    assert report.rows_by_band == {"alpha": {}}
     assert report.mean_dist("alpha") is None
     text = json.dumps(report.to_json(), allow_nan=False)
     assert json.loads(text)["mean_dist"] == {"alpha": None}

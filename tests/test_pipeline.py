@@ -390,13 +390,33 @@ def test_sweep_segment_axis(small_dataset, small_keys):
     assert all(r["acc"] is not None for r in rows)
 
 
-def test_sweep_projection_axis(small_dataset, small_keys):
-    rows = sweep_parameters(small_dataset, *small_keys, ("F8", "T7", "T8", "P4"),
-                            "alpha", "projection",
-                            ["mean", "absolute", "norm", "phase"],
-                            base=PipelineParams(p_sweep_limit=5))
-    assert [r["value"] for r in rows] == ["mean", "absolute", "norm", "phase"]
+def test_sweep_projection_axis(small_dataset, small_cache, small_keys):
+    projections = ["mean", "absolute", "norm", "phase"]
+    quad, base = ("F8", "T7", "T8", "P4"), PipelineParams(p_sweep_limit=5)
+    rows = sweep_parameters(small_dataset, *small_keys, quad, "alpha", "projection",
+                            projections, base=base)
+    assert [r["value"] for r in rows] == projections
     assert all(r["error"] is None for r in rows)
+    # each point's trial projects by its own projection: its SVM and p are
+    # best_over_p's on qpca.features under that projection
+    train, test = small_keys
+    q_train, q_test = (small_cache.vectors(keys, quad, "alpha") for keys in (train, test))
+    model, candidates = fit_pca(qpca.fit, q_train, base)
+    feats = {}
+    for row, m in zip(rows, projections):
+        out = evaluate_quadruple(small_cache, train, test, quad, "alpha",
+                                 replace(base, projection=m))
+        feats[m] = qpca.features(model, q_train, m)
+        alone = best_over_p(feats[m], small_cache.labels_pm1(train),
+                            qpca.features(model, q_test, m), small_cache.labels_pm1(test),
+                            candidates, base.svm_c)
+        assert out.p_used == alone.p_used == row["p_used"], m
+        assert np.array_equal(out.svm.weights, alone.svm.weights), m
+        assert out.svm.bias == alone.svm.bias and out.acc == row["acc"], m
+    # and the four projections give four different feature matrices
+    for i, a in enumerate(projections):
+        for b in projections[i + 1:]:
+            assert not np.allclose(feats[a], feats[b]), (a, b)
 
 
 def test_sweep_p_axis(small_dataset, small_keys):

@@ -48,8 +48,8 @@ def test_lobe_assignment_covers_montage():
     lobes = {lobe_of(c) for c in STANDARD_MONTAGE_19}
     assert lobes == {"frontal", "temporal", "parietal", "occipital"}
     assert lobe_of("F8") == "temporal"
-    assert lobe_of("Fp2") == "frontal"  # mirror of Fp1
-    assert lobe_of("P3") == "parietal"  # mirror of P4
+    assert lobe_of("Fp2") == "frontal"
+    assert lobe_of("P3") == "parietal"
     assert lobe_of("O2") == "occipital"
     assert lobe_of("XX") is None
 

@@ -5,8 +5,9 @@
 
 OUT must be a new or empty directory.  The script writes a fixed spec to
 it, then runs synth, features, train, eval, search (at --parallelism 1 and
-2), connectivity (triple and quadruple), crossval, sweep and baseline
-there, each as `python -m qeeg.cli` with OUT as the working directory and
+2), connectivity (triple and quadruple over every band on the training
+keys, and triple on alpha alone over every key), crossval, sweep and
+baseline there, each as `python -m qeeg.cli` with OUT as the working directory and
 relative paths, so nothing printed or written names OUT.  features runs
 twice: as it is, where the recording loader starts its pool on a host with
 two or more usable cores, and pinned to one core with os.sched_setaffinity,
@@ -70,6 +71,9 @@ COMMANDS = [
      "--cache", "features/features.csv", "--out", "connectivity"],
     ["connectivity", "--data", "data", "--mode", "quadruple",
      "--cache", "features/features.csv", "--out", "connectivity_quad"],
+    # one band, over the training and the testing keys
+    ["connectivity", "--data", "data", "--mode", "triple", "--band", "alpha",
+     "--include-testing", "--cache", "features/features.csv", "--out", "connectivity_alpha_all"],
     ["crossval", "--data", "data", *QUAD, "--k", "4", "--repeats", "5", "--seed", "9",
      "--out", "crossval"],
     ["crossval", "--data", "data", *QUAD, "--k", "4", "--repeats", "5", "--seed", "9",
