@@ -258,7 +258,7 @@ def _load_model(path: Path):
         data = json.loads(path.read_text())["data"]
         model = QpcaModel.from_json(data["qpca"])
         svm_obj = data["svm"]
-        svm = LinearSvmModel(weights=np.asarray(svm_obj["weights"]),
+        svm = LinearSvmModel(weights=np.asarray(svm_obj["weights"], dtype=np.float64),
                              bias=float(svm_obj["bias"]),
                              regularization_c=float(svm_obj["regularization_c"]),
                              alphas=np.asarray(svm_obj["alphas"]),
@@ -267,6 +267,9 @@ def _load_model(path: Path):
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"--model {path} is not a qeeg train model: "
                           f"{type(exc).__name__}: {exc}") from None
+    if svm.weights.ndim != 1 or not np.isfinite(svm.weights).all() or not np.isfinite(svm.bias):
+        raise ConfigError(f"--model {path} is not a qeeg train model: svm weights must be "
+                          f"a 1-D array of finite numbers and its bias a finite number")
     unset = [name for name in ("band", "quadruple", "segment_seconds", "projection")
              if getattr(model, name) is None]
     if unset:

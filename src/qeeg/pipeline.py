@@ -198,8 +198,8 @@ def _read_cache(text: str):
     label; every row is then read as float(row.removeprefix(prefix)), which
     raises for a row that is not its prefix plus one value, since a float
     holds no comma.  Any fault is a ValidationError: a header mismatch, no
-    rows, an unknown label, or else the first row that breaks the layout,
-    found only once the read fails."""
+    rows, an unknown label, or else the first row that breaks the layout or
+    holds no relative band power in [0, 1], found only once the read fails."""
     lines = text.split("\n")
     start = 0
     while start < len(lines) and lines[start].startswith("#"):
@@ -251,6 +251,10 @@ def _read_cache(text: str):
     # A row without a comma would parse whole as a float, so every row must
     # hold the six commas of its prefix.
     if flat is not None and n_rows == len(keys) * block and text.count(",", offset) == 6 * n_rows:
+        in_range = (flat >= 0) & (flat <= 1)  # False for NaN too
+        if not in_range.all():
+            r = start + int(np.argmin(in_range))
+            raise _line_error(r, lines[r], "a relative band power in [0, 1]")
         return (tuple(channels), labels,
                 flat.reshape(len(keys), len(channels), len(BAND_NAMES), n_segments))
     # the first row that is not its prefix plus one value (a row past the last
@@ -335,9 +339,17 @@ def fit_pca(fit, rows, params: PipelineParams):
 
 
 # the QPCA arm looks up `FeatureCache.vectors` and `qpca.fit` when it runs, so
-# that a wrapped one (perfbench/child.py traces both) is the one called
-QPCA_ARM = (lambda cache, *args: cache.vectors(*args),
-            lambda rows, **kwargs: qpca.fit(rows, **kwargs), qpca.features)
+# that a wrapped one (perfbench/child.py traces both) is the one called; its
+# functions are module functions, so the arm pickles into a pool context
+def _qpca_rows(cache: FeatureCache, keys, channels, band: str):
+    return cache.vectors(keys, channels, band)
+
+
+def _qpca_fit(rows, **kwargs):
+    return qpca.fit(rows, **kwargs)
+
+
+QPCA_ARM = (_qpca_rows, _qpca_fit, qpca.features)
 
 
 def evaluate_quadruple(cache: FeatureCache, train_keys, test_keys, quadruple,

@@ -8,14 +8,15 @@ Per-trial failures become marked-invalid rows; they never abort the search.
 
 Only 8 of a combination's 24 orders are evaluated: the first member of each
 i -> j -> k rotation class (`pipeline.rotation_classes`, which gives the
-symmetry argument).  Its row is copied to the other two members, each with
-its own trial index and permutation.
+symmetry argument).  Its scores make each member's row once, with the
+member's own trial index and permutation.  A combination's 24 rows are one
+block, led by the combination in montage order, and `summarize` reads them so.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
@@ -73,8 +74,11 @@ class TrialResult:
     acc: float | None
     sen: float | None
     spe: float | None
-    valid: bool
     error: str | None = None
+
+    @property
+    def valid(self) -> bool:
+        return self.error is None
 
 
 @dataclass(frozen=True)
@@ -90,19 +94,14 @@ class CombinationSummary:
     n_invalid: int
 
 
-def _run_one(ctx: dict, perm) -> TrialResult:
-    """The row of `perm`'s rotation class; `run_search` gives each member
-    its own trial index and permutation."""
+def _run_one(ctx: dict, perm) -> tuple:
+    """(p_used, acc, sen, spe, error) of `perm`'s rotation class."""
     try:
         outcome = evaluate_quadruple(ctx["cache"], ctx["train_keys"], ctx["test_keys"],
                                      perm, ctx["band"], ctx["params"])
-        return TrialResult(trial_index=-1, permutation=perm, band=ctx["band"],
-                           p_used=outcome.p_used, acc=outcome.acc, sen=outcome.sen,
-                           spe=outcome.spe, valid=True)
+        return outcome.p_used, outcome.acc, outcome.sen, outcome.spe, None
     except Exception as exc:  # noqa: BLE001 - per-trial failures become rows
-        return TrialResult(trial_index=-1, permutation=perm, band=ctx["band"],
-                           p_used=None, acc=None, sen=None, spe=None, valid=False,
-                           error=f"{type(exc).__name__}: {exc}")
+        return None, None, None, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_search(cache: FeatureCache, train_keys, test_keys, band: str,
@@ -114,30 +113,24 @@ def run_search(cache: FeatureCache, train_keys, test_keys, band: str,
     firsts, classes = rotation_classes(perms)
     ctx = {"cache": cache, "train_keys": list(train_keys),
            "test_keys": list(test_keys), "band": band, "params": params}
-    rows = ordered_map(_run_one, firsts, parallelism, ctx)
-    results = [replace(rows[c], trial_index=i, permutation=perm)
+    scores = ordered_map(_run_one, firsts, parallelism, ctx)
+    results = [TrialResult(i, perm, band, *scores[c])
                for i, (perm, c) in enumerate(zip(perms, classes))]
-    return results, summarize(results, cache.channels)
+    return results, summarize(results)
 
 
-def summarize(results, montage) -> list:
-    """Per-combination aggregates over its k! orderings (invalid rows are
-    excluded from means and counted)."""
-    montage_pos = {c: i for i, c in enumerate(montage)}
-    groups: dict = {}
-    for r in results:
-        combo = tuple(sorted(r.permutation, key=montage_pos.__getitem__))
-        groups.setdefault(combo, []).append(r)
-
+def summarize(results) -> list:
+    """Per-combination aggregates over each 24-row block (invalid rows are
+    excluded from means and counted; best is the first top accuracy)."""
     summaries = []
-    for combo in sorted(groups, key=lambda c: tuple(montage_pos[x] for x in c)):
-        rows = groups[combo]
+    for start in range(0, len(results), 24):
+        rows = results[start:start + 24]
         valid = [r for r in rows if r.valid]
         mean_of = lambda field: (float(np.mean([getattr(r, field) for r in valid]))
                                  if valid else None)
-        best = max(valid, key=lambda r: (r.acc, -r.trial_index), default=None)
+        best = max(valid, key=lambda r: r.acc, default=None)
         summaries.append(CombinationSummary(
-            combination=combo, band=rows[0].band,
+            combination=rows[0].permutation, band=rows[0].band,
             mean_acc=mean_of("acc"), mean_sen=mean_of("sen"), mean_spe=mean_of("spe"),
             best_permutation=best.permutation if best else None,
             best_acc=best.acc if best else None,

@@ -301,6 +301,35 @@ def test_eval_rejects_a_model_whose_mean_vector_is_not_n_by_4(data_dir, tmp_path
     assert not (tmp_path / "eval").exists()
 
 
+# weights of text, null, NaN or one row too deep, and a NaN or infinite bias
+@pytest.mark.parametrize("field,value", [
+    ("weights", ["a", "b", "c"]), ("weights", None), ("weights", "nan"),
+    ("weights", "nested"), ("bias", float("nan")), ("bias", float("inf")),
+], ids=["weights_text", "weights_null", "weights_nan", "weights_nested", "bias_nan",
+        "bias_inf"])
+def test_eval_rejects_an_svm_that_is_not_finite_numbers(data_dir, tmp_path, capsys,
+                                                         field, value):
+    assert main(["train", "--data", str(data_dir), "--band", "alpha",
+                 "--channels", "F8,T7,T8,P4", "--pcs", "2",
+                 "--out", str(tmp_path / "model")]) == 0
+    path = tmp_path / "model" / "model.json"
+    doc = json.loads(path.read_text())
+    svm = doc["data"]["svm"]
+    if value == "nan":
+        value = [float("nan")] + svm["weights"][1:]
+    elif value == "nested":
+        value = [svm["weights"]]
+    svm[field] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["eval", "--model", str(path), "--data", str(data_dir),
+               "--out", str(tmp_path / "eval")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: --model {path} is not a qeeg train model: ")
+    assert not (tmp_path / "eval").exists()
+
+
 def test_loader_outputs_do_not_depend_on_workers(data_dir, tmp_path, pool_workers):
     outputs = {}
     for cores in (1, 2):
@@ -599,6 +628,23 @@ def test_connectivity_rejects_a_cache_with_rows_swapped(data_dir, tmp_path, caps
                "--cache", str(swapped), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: feature cache line {first + 1}: ")
+    assert not out.exists()
+
+
+def test_search_rejects_a_cache_value_that_is_no_relative_band_power(data_dir, tmp_path,
+                                                                    capsys):
+    lines, first = _features_lines(data_dir, tmp_path / "feat")
+    r = next(i for i in range(first, len(lines)) if ",alpha," in lines[i])
+    lines[r] = lines[r].rsplit(",", 1)[0] + ",nan\n"
+    bad = tmp_path / "nan.csv"
+    bad.write_text("".join(lines))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    rc = main(["search", "--data", str(data_dir), "--band", "alpha",
+               "--cache", str(bad), "--out", str(out)])
+    assert (rc, capsys.readouterr().err) == (
+        1, f"error: feature cache line {r + 1}: {lines[r][:-1]!r}, "
+           f"expected a relative band power in [0, 1]\n")
     assert not out.exists()
 
 

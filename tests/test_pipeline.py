@@ -1,4 +1,5 @@
 """Feature cache and single-trial pipeline tests."""
+import pickle
 import random
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from qeeg.baseline import concatenated_features, fit_real_pca
 from qeeg.classifier import (best_over_p, confusion, metrics, svm_fit, svm_fit_prefixes,
                              svm_predict, svm_predict_prefixes)
 from qeeg.errors import ParameterError, ValidationError
-from qeeg.pipeline import (FeatureCache, PipelineParams, evaluate_model,
+from qeeg.pipeline import (QPCA_ARM, FeatureCache, PipelineParams, evaluate_model,
                            evaluate_quadruple, fit_pca, sweep_parameters)
 from qeeg.search import enumerate_channel_tuples
 from qeeg.spectral import band_power_matrix
@@ -245,6 +246,16 @@ def test_cache_row_of_a_bare_value_is_rejected(small_cache):
     assert _cache_error(small_cache, rows) == _expected(len(rows) + 1, rows[-1], prefix + ",")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-5.0", "1.5"])
+def test_cache_value_that_is_no_relative_band_power_is_rejected(small_cache, value):
+    # a relative band power lies in [0, 1]; the first row outside it is named
+    header, *rows = small_cache.to_csv_text().splitlines()
+    for r in (5, len(rows) - 1):
+        rows[r] = _prefix(rows[r]) + value
+    assert _cache_error(small_cache, rows) == (
+        f"feature cache line 7: {rows[5]!r}, expected a relative band power in [0, 1]")
+
+
 def test_params_validation():
     with pytest.raises(ParameterError):
         PipelineParams(projection="median")
@@ -304,6 +315,23 @@ def test_evaluate_quadruple_separates_classes(small_cache, small_keys):
     assert out.acc is not None and out.acc >= 75.0
     assert 1 <= out.p_used <= 20
     assert out.result.counts.total == len(test)
+
+
+def test_qpca_arm_pickles_and_fits_through_qpca_fit(small_cache, small_keys, monkeypatch):
+    # a pool context can carry the arm, and a wrapped `qpca.fit` is the one run
+    assert pickle.loads(pickle.dumps(QPCA_ARM)) == QPCA_ARM
+    fit, fitted = qpca.fit, []
+
+    def recorded(rows, **kwargs):
+        fitted.append(rows.shape)
+        return fit(rows, **kwargs)
+
+    monkeypatch.setattr(qpca, "fit", recorded)
+    train, test = small_keys
+    out = evaluate_quadruple(small_cache, train, test, ("F8", "T7", "T8", "P4"),
+                             "alpha", PipelineParams(p=3, p_sweep_limit=None))
+    assert out.p_used == 3
+    assert fitted == [(len(train), small_cache.n_segments)]
 
 
 def test_evaluate_quadruple_fixed_p(small_cache, small_keys):

@@ -195,6 +195,37 @@ def test_search_per_trial_failure_recorded_not_raised(parallelism):
     assert bad.n_invalid == 24 and bad.mean_acc is None
 
 
+def test_summaries_match_an_independent_regroup():
+    # the degenerate-channel search above, summarized here without the
+    # enumeration's blocks: rows grouped by their montage-sorted combination,
+    # means over the valid rows, best the first top accuracy in trial order
+    from qeeg.search import CombinationSummary
+    rng = np.random.default_rng(5)
+    cache = synthetic_cache(rng, channels=("A", "B", "C", "D", "E"), n_keys=12,
+                            constant_channels=("A", "B", "C", "D"))
+    results, summaries = run_search(cache, cache.keys[:8], cache.keys[8:], "alpha",
+                                    PipelineParams(p_sweep_limit=3))
+    position = {c: i for i, c in enumerate(cache.channels)}
+    groups = {}
+    for r in sorted(results, key=lambda r: r.trial_index):
+        groups.setdefault(tuple(sorted(r.permutation, key=position.get)), []).append(r)
+    expected = []
+    for combo in sorted(groups, key=lambda c: [position[x] for x in c]):
+        rows = groups[combo]
+        valid = [r for r in rows if r.error is None]
+        mean = lambda field: float(np.mean([getattr(r, field) for r in valid])) if valid else None
+        best = None
+        for r in valid:
+            if best is None or r.acc > best.acc:
+                best = r
+        expected.append(CombinationSummary(
+            combo, "alpha", mean("acc"), mean("sen"), mean("spe"),
+            best.permutation if best else None, best.acc if best else None,
+            len(rows), len(rows) - len(valid)))
+    assert [s.n_invalid for s in expected] == [24, 0, 0, 0, 0]
+    assert summaries == expected
+
+
 def test_rank_descending_with_lobes(search_results):
     _, summaries = search_results
     report = rank(summaries)

@@ -5,7 +5,8 @@
 
 OUT must be a new or empty directory.  The script writes a fixed spec to
 it, then runs synth, features, train, eval, search (at --parallelism 1 and
-2), connectivity (triple and quadruple over every band on the training
+2, and once at --pcs 99, which no trial can fit, so that every row is
+invalid), connectivity (triple and quadruple over every band on the training
 keys, and triple on alpha alone over every key), crossval, sweep and
 baseline there, each as `python -m qeeg.cli` with OUT as the working directory and
 relative paths, so nothing printed or written names OUT.  features runs
@@ -67,6 +68,9 @@ COMMANDS = [
      "--parallelism", "1", "--out", "search1"],
     ["search", "--data", "data", "--band", "alpha", "--p-sweep-limit", "5",
      "--parallelism", "2", "--cache", "features/features.csv", "--out", "search2"],
+    # p = 99 exceeds min(20 rows, 10 segments): every trial is an invalid row
+    ["search", "--data", "data", "--band", "alpha", "--pcs", "99",
+     "--cache", "features/features.csv", "--out", "search_invalid"],
     ["connectivity", "--data", "data", "--mode", "triple",
      "--cache", "features/features.csv", "--out", "connectivity"],
     ["connectivity", "--data", "data", "--mode", "quadruple",
