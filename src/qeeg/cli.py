@@ -400,96 +400,89 @@ def cmd_baseline(args) -> int:
 # -- argument parsing ----------------------------------------------------
 
 
-def _add_shared(parser, with_channels=True):
-    parser.add_argument("--band", choices=BAND_NAMES, required=True)
-    if with_channels:
-        parser.add_argument("--channels", type=_channels_arg, default=None,
-                            help="ordered quadruple A,B,C,D (order-sensitive)")
-    parser.add_argument("--segment-seconds", type=float, default=1.0)
-    parser.add_argument("--projection", choices=qpca.PROJECTION_METHODS,
-                        default="mean")
-    parser.add_argument("--pcs", type=int, default=None,
-                        help="fixed number of principal components")
-    parser.add_argument("--pc-threshold", type=float, default=None,
-                        help="eigenvalue-energy threshold for selecting p")
-    parser.add_argument("--p-sweep-limit", type=int, default=None,
-                        help="report the best accuracy over p = 1..L")
-    parser.add_argument("--svm-c", type=float, default=1.0)
-    parser.add_argument("--cache", default=None,
-                        help="feature cache CSV to reuse instead of featurizing")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qeeg",
         description="Quaternion-PCA EEG pipeline: features, classification, "
                     "connectivity, channel search.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # flags every command (--out) or every command but synth (--data) takes
+    # each flag that more than one command takes, declared once in its group
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", required=True)
     data = argparse.ArgumentParser(add_help=False, parents=[out])
     data.add_argument("--data", required=True)
+    segment = argparse.ArgumentParser(add_help=False)
+    segment.add_argument("--segment-seconds", type=float, default=1.0)
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache", default=None,
+                       help="feature cache CSV, at the same segment length, to reuse "
+                            "instead of featurizing")
+    channels = argparse.ArgumentParser(add_help=False)
+    channels.add_argument("--channels", type=_channels_arg, default=None,
+                          help="ordered quadruple A,B,C,D (order-sensitive)")
+    # the flags of every command that runs the fit-PCA-then-score-SVMs trial
+    trial = argparse.ArgumentParser(add_help=False, parents=[data, segment, cache])
+    trial.add_argument("--band", choices=BAND_NAMES, required=True)
+    trial.add_argument("--projection", choices=qpca.PROJECTION_METHODS, default="mean")
+    trial.add_argument("--pcs", type=int, default=None,
+                       help="fixed number of principal components")
+    trial.add_argument("--pc-threshold", type=float, default=None,
+                       help="eigenvalue-energy threshold for selecting p")
+    trial.add_argument("--p-sweep-limit", type=int, default=None,
+                       help="report the best accuracy over p = 1..L")
+    trial.add_argument("--svm-c", type=float, default=1.0)
 
     p = sub.add_parser("synth", parents=[out], help="generate a synthetic dataset")
     p.add_argument("--spec", default=None, help="SynthSpec JSON (default spec if omitted)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("features", parents=[data],
+    p = sub.add_parser("features", parents=[data, segment],
                        help="featurize recordings into a cache CSV")
-    p.add_argument("--segment-seconds", type=float, default=1.0)
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("train", parents=[data], help="fit QPCA + SVM on the training split")
-    _add_shared(p)
+    p = sub.add_parser("train", parents=[trial, channels],
+                       help="fit QPCA + SVM on the training split")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[data], help="evaluate a trained model")
+    p = sub.add_parser("eval", parents=[data, channels, cache], help="evaluate a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--split", choices=("testing", "training", "all"),
                    default="testing")
     p.add_argument("--band", choices=BAND_NAMES, default=None)
-    p.add_argument("--channels", type=_channels_arg, default=None)
-    p.add_argument("--cache", default=None,
-                   help="feature cache CSV built with the model's --segment-seconds")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("search", parents=[data], help="exhaustive ordered 4-channel search")
-    _add_shared(p, with_channels=False)
+    p = sub.add_parser("search", parents=[trial], help="exhaustive ordered 4-channel search")
     p.add_argument("--parallelism", type=int, default=pool.usable_cores())
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("connectivity", parents=[data],
+    p = sub.add_parser("connectivity", parents=[data, segment, cache],
                        help="connectivity tensors and distances")
     p.add_argument("--mode", choices=("triple", "quadruple"), required=True)
     p.add_argument("--band", choices=BAND_NAMES, default=None,
                    help="single band (default: all four)")
-    p.add_argument("--segment-seconds", type=float, default=1.0)
-    p.add_argument("--cache", default=None)
     p.add_argument("--include-testing", action="store_true",
                    help="measure on all sessions, not only the training split")
     p.set_defaults(func=cmd_connectivity)
 
-    p = sub.add_parser("crossval", parents=[data], help="repeated k-fold cross-validation")
+    p = sub.add_parser("crossval", parents=[trial, channels],
+                       help="repeated k-fold cross-validation")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--repeats", type=int, default=1000)
     p.add_argument("--unstratified", action="store_true",
                    help="plain shuffled folds instead of stratified ones")
     p.add_argument("--seed", type=int, default=0, help="fold shuffle seed")
-    _add_shared(p)
     p.set_defaults(func=cmd_crossval)
 
-    p = sub.add_parser("sweep", parents=[data], help="parameter sweep along one axis")
+    p = sub.add_parser("sweep", parents=[trial, channels],
+                       help="parameter sweep along one axis")
     p.add_argument("--axis", choices=("segment", "projection", "pcs"), required=True)
     p.add_argument("--values", required=True,
                    help="comma-separated grid values for the chosen axis")
-    _add_shared(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("baseline", parents=[data],
+    p = sub.add_parser("baseline", parents=[trial, channels],
                        help="quaternion vs real PCA comparison")
-    _add_shared(p)
     p.set_defaults(func=cmd_baseline)
 
     return parser

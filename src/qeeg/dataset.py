@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,11 @@ LABELS = ("AD", "NonAD")
 _MIN_SAMPLING_RATE = 60.0  # Nyquist margin for the 1-30 Hz analysis range
 # ASCII characters besides "\n" at which str.splitlines breaks a line
 _OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+# each manifest key, the JSON values it takes and how an error names them; a
+# number must be finite, and a key that may be null may also be left out
+_MANIFEST = {"subject_id": (str, "a string"), "session_index": (int, "an integer"),
+             "label": (str, "a string"), "sampling_rate_hz": ((int, float), "a number"),
+             "data_file": (str, "a string"), "montage": ((str, type(None)), "a string or null")}
 
 
 def _breaks_csv(text: str) -> bool:
@@ -138,19 +143,19 @@ def load_recording(manifest_path) -> EegRecording:
         raise ValidationError(f"malformed manifest {manifest_path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise ValidationError(f"manifest {manifest_path} is not a JSON object")
-    missing = [k for k in ("subject_id", "session_index", "label",
-                           "sampling_rate_hz", "data_file") if k not in manifest]
+    missing = [key for key, (types, _) in _MANIFEST.items()
+               if key not in manifest and not isinstance(None, types)]
     if missing:
         raise ValidationError(f"manifest {manifest_path} missing keys {missing}")
-    for key, types, kind in (("session_index", int, "an integer"),
-                             ("sampling_rate_hz", (int, float), "a number"),
-                             ("data_file", str, "a string")):
+    manifest = {key: manifest.get(key) for key in _MANIFEST}
+    for key, (types, kind) in _MANIFEST.items():
         value = manifest[key]
-        if isinstance(value, bool) or not isinstance(value, types):
+        if (isinstance(value, bool) or not isinstance(value, types)
+                or isinstance(value, float) and not np.isfinite(value)):
             raise ValidationError(
                 f"manifest {manifest_path}: {key} must be {kind}, got {value!r}")
 
-    data_path = manifest_path.parent / manifest["data_file"]
+    data_path = manifest_path.parent / manifest.pop("data_file")
     if not data_path.is_file():
         raise ValidationError(f"data file not found: {data_path}")
     try:
@@ -183,15 +188,8 @@ def load_recording(manifest_path) -> EegRecording:
         # every row holds its fields, so the parse failed on a value
         raise ValidationError(f"bad value in {data_path}: {fault}")
 
-    return EegRecording(
-        subject_id=str(manifest["subject_id"]),
-        session_index=manifest["session_index"],
-        label=str(manifest["label"]),
-        sampling_rate_hz=float(manifest["sampling_rate_hz"]),
-        channel_labels=tuple(header),
-        samples=samples.T,
-        montage=manifest.get("montage"),
-    )
+    manifest["sampling_rate_hz"] = float(manifest["sampling_rate_hz"])
+    return EegRecording(**manifest, channel_labels=tuple(header), samples=samples.T)
 
 
 def _parse_body(body: str) -> np.ndarray:
@@ -212,15 +210,9 @@ def save_recording(recording: EegRecording, directory, stem: str | None = None) 
         lines.append(",".join(repr(float(v)) for v in row))
     (directory / data_name).write_text("\n".join(lines) + "\n")
 
-    manifest = {
-        "subject_id": recording.subject_id,
-        "session_index": recording.session_index,
-        "label": recording.label,
-        "sampling_rate_hz": recording.sampling_rate_hz,
-        "data_file": data_name,
-    }
-    if recording.montage is not None:
-        manifest["montage"] = recording.montage
+    values = {key: data_name if key == "data_file" else getattr(recording, key)
+              for key in _MANIFEST}
+    manifest = {key: value for key, value in values.items() if value is not None}
     manifest_path = directory / f"{stem}.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest_path
@@ -249,25 +241,44 @@ def session_split_keys(keys) -> tuple:
 class BandProfile:
     """One sinusoid-plus-noise component of a synthetic class profile."""
 
-    label: str
+    label: str = field(metadata={"json": "class"})  # metadata "json": its JSON key
     band: str
     amplitude: float
     channels_affected: tuple | None = None  # None -> every montage channel
     noise_sigma: float = 0.0
     frequency_hz: float | None = None  # None -> drawn uniformly inside the band
 
+    def __post_init__(self):
+        if self.channels_affected is not None:
+            object.__setattr__(self, "channels_affected", tuple(self.channels_affected))
+
 
 # `SynthSpec.default`: delta noise sigma, AD and NonAD alpha amplitudes
 _NOISE_SIGMA, _AD_ALPHA, _NS_ALPHA = 0.35, 0.45, 1.1
 
 
-def _check_keys(what: str, obj, written: dict) -> None:
-    """Reject a non-object, or a misspelled key that would take its default."""
+def _to_json(value):
+    """A spec value as JSON: a dataclass as an object of its fields, a tuple as a list."""
+    if is_dataclass(value):
+        return {f.metadata.get("json", f.name): _to_json(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return dict(value) if isinstance(value, dict) else value
+
+
+def _fields_from_json(cls, what: str, obj, required=()) -> dict:
+    """The fields a JSON object gives the dataclass `cls`: a key left out takes its
+    field's default, unless it is in `required` or the field has none (KeyError)."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} is not a JSON object")
-    unknown = sorted(set(obj) - set(written))
+    keys = {f.metadata.get("json", f.name): f for f in fields(cls)}
+    unknown = sorted(set(obj) - set(keys))
     if unknown:
-        raise ValueError(f"unknown {what} key(s) {unknown}; expected some of {list(written)}")
+        raise ValueError(f"unknown {what} key(s) {unknown}; expected some of {list(keys)}")
+    return {f.name: obj[key] for key, f in keys.items()
+            if key in obj or key in required
+            or (f.default, f.default_factory) == (MISSING, MISSING)}
 
 
 @dataclass(frozen=True)
@@ -282,8 +293,8 @@ class SynthSpec:
     profiles: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "channel_labels", tuple(self.channel_labels))
-        object.__setattr__(self, "profiles", tuple(self.profiles))
+        for name, kind in (("subjects", dict), ("channel_labels", tuple), ("profiles", tuple)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         for label, count in self.subjects.items():
             if label not in LABELS:
                 raise ValidationError(f"unknown class label {label!r}")
@@ -297,7 +308,7 @@ class SynthSpec:
                                   f"got {self.sessions_per_subject!r}")
         if len(set(self.channel_labels)) != len(self.channel_labels):
             raise ValidationError("duplicate channel label in synth spec")
-        if not 0 < self.duration_seconds < np.inf:
+        if isinstance(self.duration_seconds, bool) or not 0 < self.duration_seconds < np.inf:
             raise ValidationError(f"duration_seconds must be positive and finite, "
                                   f"got {self.duration_seconds!r}")
         if not _MIN_SAMPLING_RATE < self.sampling_rate_hz < np.inf:
@@ -307,13 +318,14 @@ class SynthSpec:
             if p.label not in LABELS:
                 raise ValidationError(f"profile class {p.label!r} unknown")
             band_by_name(p.band)  # raises for unknown band names
-            if not 0 <= p.amplitude < np.inf:
+            if isinstance(p.amplitude, bool) or not 0 <= p.amplitude < np.inf:
                 raise ValidationError(f"amplitude must be >= 0 and finite, "
                                       f"got {p.amplitude!r} for band {p.band}")
-            if not 0 <= p.noise_sigma < np.inf:
+            if isinstance(p.noise_sigma, bool) or not 0 <= p.noise_sigma < np.inf:
                 raise ValidationError(f"noise_sigma must be >= 0 and finite, "
                                       f"got {p.noise_sigma!r} for band {p.band}")
-            if p.frequency_hz is not None and not -np.inf < p.frequency_hz < np.inf:
+            if p.frequency_hz is not None and (isinstance(p.frequency_hz, bool)
+                                               or not -np.inf < p.frequency_hz < np.inf):
                 raise ValidationError(f"frequency_hz must be finite, "
                                       f"got {p.frequency_hz!r} for band {p.band}")
             if p.channels_affected is not None:
@@ -333,53 +345,26 @@ class SynthSpec:
         rest = tuple(c for c in channel_labels if c not in affected)
         profiles = []
         for label in LABELS:
-            profiles += [
-                BandProfile(label, "delta", 0.9, None, _NOISE_SIGMA),
-                BandProfile(label, "theta", 0.8, None, 0.0),
-                BandProfile(label, "beta", 0.7, None, 0.0),
-            ]
+            profiles += [BandProfile(label, "delta", 0.9, noise_sigma=_NOISE_SIGMA),
+                         BandProfile(label, "theta", 0.8), BandProfile(label, "beta", 0.7)]
             alpha_amp = _AD_ALPHA if label == "AD" else _NS_ALPHA
-            profiles.append(BandProfile(label, "alpha", alpha_amp, affected, 0.0))
+            profiles.append(BandProfile(label, "alpha", alpha_amp, affected))
             if rest:
-                profiles.append(BandProfile(label, "alpha", _NS_ALPHA, rest, 0.0))
-        return cls(subjects=dict(subjects or {"AD": 5, "NonAD": 6}),
-                   channel_labels=channel_labels, profiles=tuple(profiles))
+                profiles.append(BandProfile(label, "alpha", _NS_ALPHA, rest))
+        given = {"subjects": subjects} if subjects else {}  # else the field's default
+        return cls(channel_labels=channel_labels, profiles=profiles, **given)
 
     def to_json(self) -> dict:
-        return {
-            "subjects": dict(self.subjects),
-            "sessions_per_subject": self.sessions_per_subject,
-            "channel_labels": list(self.channel_labels),
-            "duration_seconds": self.duration_seconds,
-            "sampling_rate_hz": self.sampling_rate_hz,
-            "profiles": [
-                {"class": p.label, "band": p.band, "amplitude": p.amplitude,
-                 "channels_affected": (list(p.channels_affected)
-                                       if p.channels_affected is not None else None),
-                 "noise_sigma": p.noise_sigma, "frequency_hz": p.frequency_hz}
-                for p in self.profiles
-            ],
-        }
+        return _to_json(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "SynthSpec":
-        written = cls.default().to_json()
-        _check_keys("spec", obj, written)
-        for p in obj.get("profiles", ()):
-            _check_keys("profile", p, written["profiles"][0])
-        profiles = tuple(
-            BandProfile(label=p["class"], band=p["band"], amplitude=p["amplitude"],
-                        channels_affected=(tuple(p["channels_affected"])
-                                           if p.get("channels_affected") is not None else None),
-                        noise_sigma=p.get("noise_sigma", 0.0),
-                        frequency_hz=p.get("frequency_hz"))
-            for p in obj.get("profiles", ()))
-        return cls(subjects=dict(obj["subjects"]),
-                   sessions_per_subject=obj.get("sessions_per_subject", 6),
-                   channel_labels=tuple(obj.get("channel_labels", STANDARD_MONTAGE_19)),
-                   duration_seconds=obj.get("duration_seconds", 40.0),
-                   sampling_rate_hz=obj.get("sampling_rate_hz", 250.0),
-                   profiles=profiles)
+        # a spec file must say its subjects, although the field has a default
+        spec = _fields_from_json(cls, "spec", obj, required=("subjects",))
+        if "profiles" in spec:
+            spec["profiles"] = [BandProfile(**_fields_from_json(BandProfile, "profile", p))
+                                for p in spec["profiles"]]
+        return cls(**spec)
 
 
 def synthesize_dataset(spec: SynthSpec, seed: int) -> list:

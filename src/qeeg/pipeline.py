@@ -11,7 +11,7 @@ byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import islice
 from typing import ClassVar
@@ -63,9 +63,7 @@ class PipelineParams:
             raise ParameterError(f"segment_seconds must be finite, got {self.segment_seconds}")
 
     def to_json(self) -> dict:
-        return {"segment_seconds": self.segment_seconds, "projection": self.projection,
-                "p": self.p, "p_sweep_limit": self.p_sweep_limit,
-                "p_threshold": self.p_threshold, "svm_c": self.svm_c}
+        return asdict(self)
 
 
 @dataclass(eq=False)

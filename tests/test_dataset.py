@@ -1,5 +1,6 @@
 """Recording I/O, split convention, and synthetic dataset tests."""
 import csv
+import dataclasses
 import io
 import json
 import pickle
@@ -163,6 +164,11 @@ BAD_MANIFESTS = {  # the manifest's JSON value, and its error after "manifest PA
     "sampling_rate_text": ({"sampling_rate_hz": "fast"},
                            ": sampling_rate_hz must be a number, got 'fast'"),
     "data_file_number": ({"data_file": 5}, ": data_file must be a string, got 5"),
+    "subject_id_null": ({"subject_id": None}, ": subject_id must be a string, got None"),
+    "label_number": ({"label": 1}, ": label must be a string, got 1"),
+    "montage_number": ({"montage": 7}, ": montage must be a string or null, got 7"),
+    "sampling_rate_infinite": ({"sampling_rate_hz": float("inf")},
+                               ": sampling_rate_hz must be a number, got inf"),
 }
 
 
@@ -349,6 +355,11 @@ BAD_SPECS = {  # a change to a valid spec's JSON, and the field its error names
     "noise_nan": ({"noise_sigma": float("nan")}, "noise_sigma"),
     "frequency_nan": ({"frequency_hz": float("nan")}, "frequency_hz"),
     "frequency_overflow": ({"frequency_hz": -1e999}, "frequency_hz"),
+    # JSON's true and false are no numbers, although Python's bool is an int
+    "duration_bool": ({"duration_seconds": True}, "duration_seconds"),
+    "amplitude_bool": ({"amplitude": True}, "amplitude"),
+    "noise_bool": ({"noise_sigma": True}, "noise_sigma"),
+    "frequency_bool": ({"frequency_hz": False}, "frequency_hz"),
 }
 
 
@@ -379,3 +390,40 @@ def test_synth_spec_rejects_a_key_it_does_not_write(where, key):
     with pytest.raises(ValueError) as info:
         SynthSpec.from_json(obj)
     assert str(info.value).startswith(f"unknown {where} key(s) ['{key}']; expected some of ")
+
+
+EVERY_FIELD_SET = SynthSpec(  # every field other than its default
+    subjects={"AD": 1, "NonAD": 2}, sessions_per_subject=3, channel_labels=("Fp1", "Fp2", "T7"),
+    duration_seconds=12.5, sampling_rate_hz=128.0,
+    profiles=(BandProfile("AD", "alpha", 0.5, ("T7", "Fp1"), 0.25, frequency_hz=9.5),
+              BandProfile("NonAD", "theta", 0.75)))
+
+
+def test_synth_spec_json_roundtrip_of_every_field_through_text():
+    back = SynthSpec.from_json(json.loads(json.dumps(EVERY_FIELD_SET.to_json())))
+    assert back == EVERY_FIELD_SET
+    assert [hash(p) for p in back.profiles] == [hash(p) for p in EVERY_FIELD_SET.profiles]
+    assert BandProfile("AD", "alpha", 1.0, ["T7"]).channels_affected == ("T7",)
+
+
+def test_synth_spec_json_writes_every_field():
+    obj = EVERY_FIELD_SET.to_json()
+    assert list(obj) == [f.name for f in dataclasses.fields(SynthSpec)]
+    assert list(obj["profiles"][0]) == ["class" if f.name == "label" else f.name
+                                        for f in dataclasses.fields(BandProfile)]
+
+
+def test_synth_spec_json_takes_the_field_defaults():
+    obj = {"subjects": {"AD": 1}, "profiles": [{"class": "AD", "band": "alpha", "amplitude": 1.0}]}
+    assert SynthSpec.from_json(obj) == SynthSpec(subjects={"AD": 1},
+                                                 profiles=(BandProfile("AD", "alpha", 1.0),))
+
+
+@pytest.mark.parametrize("where,key", [("spec", "subjects"), ("profile", "class"),
+                                       ("profile", "band"), ("profile", "amplitude")])
+def test_synth_spec_names_a_missing_key(where, key):
+    obj = SynthSpec.default(channel_labels=("Fp1", "Fp2")).to_json()
+    del (obj if where == "spec" else obj["profiles"][1])[key]
+    with pytest.raises(KeyError) as info:
+        SynthSpec.from_json(obj)
+    assert info.value.args == (key,)

@@ -4,22 +4,24 @@
     PYTHONPATH=src python3 tools/reference_outputs.py OUT
 
 OUT must be a new or empty directory.  The script writes a fixed spec to
-it, then runs synth, features, train, eval, search (at --parallelism 1 and
-2, and once at --pcs 99, which no trial can fit, so that every row is
-invalid), connectivity (triple and quadruple over every band on the training
-keys, and triple on alpha alone over every key), crossval, sweep and
-baseline there, each as `python -m qeeg.cli` with OUT as the working directory and
-relative paths, so nothing printed or written names OUT.  features runs
-twice: as it is, where the recording loader starts its pool on a host with
-two or more usable cores, and pinned to one core with os.sched_setaffinity,
-where it loads serially (skipped where there is no such call); the two
-features.csv lines of the listing must hash the same.  Every branch of the
-p rule (`pipeline.fit_pca`) runs: train at a fixed p and at an energy
-threshold, baseline at a fixed p, at a threshold and at its default p
-sweep.  crossval runs with stratified and with unstratified folds.  sweep
-runs along each axis: p and the segment length, each with one failing grid
-point, and every projection.  It prints each command line and its stdout, then
-one `sha256  relative/path` line per file under OUT (outputs and run
+it, then runs synth, synth again on a minimal spec that leaves out every
+optional key (so that the spec's defaults show in the listing), features,
+train, eval, search (at --parallelism 1 and 2, and once at --pcs 99, which
+no trial can fit, so that every row is invalid), connectivity (triple and
+quadruple over every band on the training keys, and triple on alpha alone
+over every key), crossval, sweep and baseline there, each as
+`python -m qeeg.cli` with OUT as the working directory and relative paths,
+so nothing printed or written names OUT.  features runs twice: as it is,
+where the recording loader starts its pool on a host with two or more
+usable cores, and pinned to one core with os.sched_setaffinity, where it
+loads serially (skipped where there is no such call); the two features.csv
+lines of the listing must hash the same.  Every branch of the p rule
+(`pipeline.fit_pca`) runs: train at a fixed p and at an energy threshold,
+baseline at a fixed p, at a threshold and at its default p sweep.
+crossval runs with stratified and with unstratified folds.  sweep runs
+along each axis: p and the segment length, each with one failing grid
+point, and every projection.  It prints each command line and its stdout,
+then one `sha256  relative/path` line per file under OUT (outputs and run
 manifests).
 
 qeeg comes from PYTHONPATH, so the same script run against another checkout
@@ -54,10 +56,19 @@ SPEC = {
             ("alpha", 1.1, ["F7", "P4"], 0.0))
     ],
 }
+# subjects and the required profile keys only, one fixed frequency and one
+# channel list: every other key takes its default (19 channels at 250 Hz)
+MINIMAL_SPEC = {
+    "subjects": {"AD": 1},
+    "profiles": [{"class": "AD", "band": "alpha", "amplitude": 1.0,
+                  "channels_affected": ["T7", "T8"], "frequency_hz": 10.0},
+                 {"class": "AD", "band": "delta", "amplitude": 0.5}],
+}
 # features again in a process pinned to one core, where the loader is serial
 ONE_CORE = ["features", "--data", "data", "--out", "features_one_core"]
 COMMANDS = [
     ["synth", "--spec", "spec.json", "--seed", "5", "--out", "data"],
+    ["synth", "--spec", "minimal_spec.json", "--seed", "5", "--out", "data_minimal"],
     ["features", "--data", "data", "--out", "features"],
     ONE_CORE,
     ["train", "--data", "data", *QUAD, "--pcs", "3", "--out", "train"],
@@ -111,6 +122,7 @@ def main(argv) -> int:
         print(f"{out} is not empty", file=sys.stderr)
         return 2
     (out / "spec.json").write_text(json.dumps(SPEC, indent=2) + "\n")
+    (out / "minimal_spec.json").write_text(json.dumps(MINIMAL_SPEC, indent=2) + "\n")
     # the commands run in OUT, so a relative PYTHONPATH entry is resolved here
     path = [str(Path(p).resolve()) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
             if p]
