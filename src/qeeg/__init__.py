@@ -2,6 +2,7 @@
 quaternion SVD, max-margin classification, channel-subset search, and 4-D
 connectivity measures."""
 
+from . import blas  # first: it decides how many threads OpenBLAS starts on
 from . import (baseline, classifier, connectivity, dataset, errors, pipeline,
                qlinalg, qpca, search, spectral)
 from .classifier import (ConfusionCounts, LinearSvmModel, cross_validate,

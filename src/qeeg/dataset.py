@@ -52,6 +52,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _channel_tuple(name: str, value) -> tuple:
+    """The channel labels of the spec field `name` as a tuple; ValidationError
+    for a string, which tuple() would split into its characters, and for an
+    entry that is not a non-empty string."""
+    if isinstance(value, str):
+        raise ValidationError(f"{name} must be a list of channel labels, "
+                              f"got the string {value!r}")
+    labels = tuple(value)
+    for label in labels:
+        if not isinstance(label, str) or not label:
+            raise ValidationError(f"{name} must hold non-empty strings, got {label!r}")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class EegRecording:
     """One labeled multichannel recording; immutable after validation."""
@@ -250,7 +264,8 @@ class BandProfile:
 
     def __post_init__(self):
         if self.channels_affected is not None:
-            object.__setattr__(self, "channels_affected", tuple(self.channels_affected))
+            object.__setattr__(self, "channels_affected",
+                               _channel_tuple("channels_affected", self.channels_affected))
 
 
 # `SynthSpec.default`: delta noise sigma, AD and NonAD alpha amplitudes
@@ -293,8 +308,10 @@ class SynthSpec:
     profiles: tuple = ()
 
     def __post_init__(self):
-        for name, kind in (("subjects", dict), ("channel_labels", tuple), ("profiles", tuple)):
+        for name, kind in (("subjects", dict), ("profiles", tuple)):
             object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "channel_labels",
+                           _channel_tuple("channel_labels", self.channel_labels))
         for label, count in self.subjects.items():
             if label not in LABELS:
                 raise ValidationError(f"unknown class label {label!r}")
@@ -340,8 +357,9 @@ class SynthSpec:
         affected channels (all channels when alpha_affected is None): alpha
         0.45 there against 1.1 for NonAD and the other channels, delta noise
         sigma 0.35 for both classes."""
-        channel_labels = tuple(channel_labels)
-        affected = tuple(alpha_affected) if alpha_affected is not None else channel_labels
+        channel_labels = _channel_tuple("channel_labels", channel_labels)
+        affected = (_channel_tuple("alpha_affected", alpha_affected)
+                    if alpha_affected is not None else channel_labels)
         rest = tuple(c for c in channel_labels if c not in affected)
         profiles = []
         for label in LABELS:

@@ -540,6 +540,11 @@ BAD_COMMANDS = {  # argv, and the content of the file named {file}
     "spec_not_an_object": (["synth", "--spec", "{file}"], "[]\n"),
     "spec_duration_nan": (["synth", "--spec", "{file}"],
                           '{"subjects": {"AD": 1}, "duration_seconds": NaN}\n'),
+    # a string is no list of labels; a number is no label (it was a TypeError)
+    "spec_channel_labels_string": (["synth", "--spec", "{file}"],
+                                   '{"subjects": {"AD": 1}, "channel_labels": "F7"}\n'),
+    "spec_channel_labels_numbers": (["synth", "--spec", "{file}"],
+                                    '{"subjects": {"AD": 1}, "channel_labels": [1, 2]}\n'),
     "features_segment_nan": (["features", "--data", "{data}", "--segment-seconds", "nan"],
                              None),
     "features_segment_inf": (["features", "--data", "{data}", "--segment-seconds", "inf"],
@@ -717,6 +722,39 @@ def test_command_pins_blas_and_restores_it(data_dir, tmp_path, monkeypatch):
     assert main(["features", "--data", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "g")]) == 1
     assert calls == [1, 7, 1, 7]  # one thread while it runs, the caller's after
+
+
+def test_qeeg_starts_openblas_on_one_thread_unless_the_caller_chose():
+    libs_dir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    library = next(libs_dir.glob("*scipy_openblas*"), None)
+    if library is None:
+        pytest.skip("numpy does not bundle a scipy-openblas library")
+
+    def run(script, **variables):
+        # a fresh interpreter that finds this qeeg, with only the given
+        # variables of those OpenBLAS reads its thread count from
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env.update(variables, PYTHONPATH=str(Path(qeeg.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    # the count OpenBLAS starts on when numpy loads without qeeg (at most
+    # the usable cores, whatever the variables ask for)
+    alone = (f"import ctypes, numpy\nlib = ctypes.CDLL({str(library)!r})\n"
+             "print(lib.scipy_openblas_get_num_threads64_())\n")
+    # the count qeeg started on, the count after raising it to 2, the variable
+    report = ("import os\nfrom qeeg.blas import set_blas_threads\n"
+              "print(set_blas_threads(2), set_blas_threads(2),"
+              " os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+    assert run(report) == ["1", "2", "None"]
+    # the caller's choice, by a variable or by importing numpy first, stands
+    user, omp = {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}
+    assert run(report, **user) == [*run(alone, **user), "2", "2"]
+    assert run(report, **omp) == [*run(alone, **omp), "2", "None"]
+    assert run("import numpy\n" + report) == [*run(alone), "2", "None"]
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -341,6 +341,13 @@ def test_synth_spec_validation():
         SynthSpec(subjects={})
 
 
+@pytest.mark.parametrize("field", ["channel_labels", "alpha_affected"])
+def test_synth_spec_default_rejects_a_string_of_labels(field):
+    with pytest.raises(ValidationError, match=f"^{field} must be a list"):
+        SynthSpec.default(**{"channel_labels": ("Fp1", "Fp2"), field: "Fp1"})
+
+
+AD_ALPHA = {"class": "AD", "band": "alpha", "amplitude": 1.0}  # one profile, as JSON
 BAD_SPECS = {  # a change to a valid spec's JSON, and the field its error names
     "duration_nan": ({"duration_seconds": float("nan")}, "duration_seconds"),
     "duration_overflow": ({"duration_seconds": 1e999}, "duration_seconds"),
@@ -360,6 +367,14 @@ BAD_SPECS = {  # a change to a valid spec's JSON, and the field its error names
     "amplitude_bool": ({"amplitude": True}, "amplitude"),
     "noise_bool": ({"noise_sigma": True}, "noise_sigma"),
     "frequency_bool": ({"frequency_hz": False}, "frequency_hz"),
+    # tuple() of a string is its characters: "Fp1" would be channels F, p and 1
+    "channel_labels_string": ({"channel_labels": "Fp1"}, "channel_labels"),
+    "channel_labels_numbers": ({"channel_labels": [1, 2]}, "channel_labels"),
+    "channel_labels_empty_label": ({"channel_labels": ["Fp1", ""]}, "channel_labels"),
+    "channels_affected_string": ({"profiles": [AD_ALPHA | {"channels_affected": "Fp1"}]},
+                                 "channels_affected"),
+    "channels_affected_number": ({"profiles": [AD_ALPHA | {"channels_affected": ["Fp1", 2]}]},
+                                 "channels_affected"),
 }
 
 
